@@ -18,11 +18,10 @@ from padic_mra import (
     l_set,
     mask_from_roots,
     refinable_from_mask,
-    shift_mask,
     verify_wavelet_set,
 )
 from padic_mra.errors import SupportViolationError
-from padic_mra.padic_core import PadicRational, enumerate_Ip_ball
+from padic_mra.padic_core import PadicRational
 
 
 def main() -> None:
@@ -64,9 +63,8 @@ def main() -> None:
           f"{max(report.orthonormality.char_sum_residuals):.3f})")
 
     print("shift masks for every translate of the refined grid:")
-    for b in enumerate_Ip_ball(p, 2):
-        sol = shift_mask(phi, b, same_scale=False, lset=ls)
-        print(f"  b = {str(b):>4}: residual {sol.pointwise_residual:.2e}")
+    for sol in report.shift_solutions:
+        print(f"  b = {str(sol.b):>4}: residual {sol.pointwise_residual:.2e}")
 
     ws = build_wavelet_set(phi, mask)
     ver = verify_wavelet_set(ws)

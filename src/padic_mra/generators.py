@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOL
+from .errors import PreconditionError
 from .masks import TrigPolynomial, mask_from_roots, support_margin
 from .padic_core import PadicRational
 from .test_functions import TestFunction
@@ -47,7 +48,9 @@ def random_covering_mask(
     """
     N, M = scale, period_exp
     max_depth = N + M + 1
-    for _ in range(64):
+    # At p = 5, N = 2 only about one draw in eight is clean, so 64 tries
+    # would refuse about one call in 6000; 1024 make that 1e-60.
+    for _ in range(1024):
         budget = p ** (N + 1) - 1
         pending: list[tuple[int, int]] = [(r, 1) for r in range(1, p)]
         roots: list[PadicRational] = []
@@ -64,8 +67,12 @@ def random_covering_mask(
         mask = mask_from_roots(p, N, roots)
         # Deep roots inflate the expanded coefficients, and the rounding
         # they carry can push the prescribed sphere zeros above the support
-        # tolerance. Redraw instead of shipping a marginal instance.
-        ok, _, worst = support_margin(mask, M)
+        # tolerance, or m(0) off 1 by more than it. Redraw instead of
+        # shipping a marginal instance.
+        try:
+            ok, _, worst = support_margin(mask, M)
+        except PreconditionError:
+            continue
         if ok and worst <= 1e-3 * DEFAULT_TOL:
             return mask
     raise RuntimeError("could not draw a numerically clean covering mask")

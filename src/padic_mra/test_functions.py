@@ -12,14 +12,13 @@ rely only on x -> x * p^N being a bijection of the grid onto Z mod p^(N+M).
 
 The transform here is the additive-character integral with Haar measure
 normalized so that Z_p has measure 1. It maps D_N^M onto D_M^N and is
-realized two ways: a cached O(n^2) character-sum matrix (the trusted slow
-route) and the FFT (the fast route). Tests hold the two together.
+computed by the FFT; the tests hold it against an exact character-sum
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,10 +43,6 @@ __all__ = [
     "inv_fourier",
     "allclose",
 ]
-
-# Largest n for which the dense character-sum matrix is built.
-_DIRECT_LIMIT = 2048
-
 
 @dataclass(eq=False)
 class TestFunction:
@@ -209,44 +204,20 @@ def norm_l2(f: TestFunction) -> float:
     return float(np.sqrt(max(inner_product(f, f).real, 0.0)))
 
 
-@lru_cache(maxsize=16)
-def _character_matrix(n: int) -> np.ndarray:
-    """W[l, a] = exp(2 pi i l a / n), the exact character-sum kernel."""
-    idx = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(idx, idx) / n)
-
-
-def fourier(f: TestFunction, method: str = "auto") -> TestFunction:
+def fourier(f: TestFunction) -> TestFunction:
     """Additive-character transform, D_N^M -> D_M^N.
 
-    The value at l/p^M is p^-M * sum_a f_a exp(2 pi i l a / n). method is
-    'fast' (FFT), 'direct' (cached character matrix, n capped), or 'auto'.
+    The value at l/p^M is p^-M * sum_a f_a exp(2 pi i l a / n).
     """
     N, M = f.frame
-    scale = float(f.prime) ** (-M)
-    if method == "direct" or (method == "auto" and f.n <= _DIRECT_LIMIT):
-        if f.n > _DIRECT_LIMIT:
-            raise ValueError(f"direct transform capped at n={_DIRECT_LIMIT}")
-        out = scale * (_character_matrix(f.n) @ f.values)
-    elif method in ("fast", "auto"):
-        out = scale * f.n * np.fft.ifft(f.values)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    out = float(f.prime) ** (-M) * f.n * np.fft.ifft(f.values)
     return TestFunction(f.prime, M, N, out)
 
 
-def inv_fourier(g: TestFunction, method: str = "auto") -> TestFunction:
+def inv_fourier(g: TestFunction) -> TestFunction:
     """Inverse transform, D_S^P -> D_P^S; round-trips with fourier exactly."""
     S, P = g.frame
-    scale = float(g.prime) ** (-P)
-    if method == "direct" or (method == "auto" and g.n <= _DIRECT_LIMIT):
-        if g.n > _DIRECT_LIMIT:
-            raise ValueError(f"direct transform capped at n={_DIRECT_LIMIT}")
-        out = scale * (np.conj(_character_matrix(g.n)) @ g.values)
-    elif method in ("fast", "auto"):
-        out = scale * np.fft.fft(g.values)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    out = float(g.prime) ** (-P) * np.fft.fft(g.values)
     return TestFunction(g.prime, P, S, out)
 
 

@@ -13,7 +13,11 @@ windows [(nu-1) p^N, nu p^N].
 Wavelet functions are tap combinations psi = sum_k g_k phi(x/p - k/p^(N+1))
 and live in D_N^(M+1). Construction verifies, never assumes: the Fourier
 factorization psi-hat(xi) = n(xi/p^N) phi-hat(p xi) and orthogonality to
-V_0 are residual-checked before anything is returned.
+V_0 are residual-checked before anything is returned. Every wavelet
+residual is relative to the scale of what it compares: the expanded taps
+of (z - 1)^(p^N - #L) are binomial coefficients that reach 1e9 at p = 2,
+N = 5, and a verdict must not change when a wavelet is multiplied by a
+constant.
 
 Frame quality is read off the Gram matrix of the translate system: on the
 span, sum_i |<f, g_i>|^2 sits between A and B times ||f||^2 exactly when A
@@ -29,7 +33,7 @@ import numpy as np
 from .config import DEFAULT_TOL, JobConfig
 from .errors import PreconditionError, UnsupportedConfigurationError, VerificationError
 from .masks import TrigPolynomial, haar_mask
-from .mra import LSet, l_set
+from .mra import LSet, _roll_columns, l_set
 from .padic_core import PadicRational, character
 from .test_functions import (
     TestFunction,
@@ -118,28 +122,48 @@ def _tap_combination(phi: TestFunction, taps: np.ndarray) -> TestFunction:
             f"{len(taps)} taps exceed the window p^(N+1) = {p ** (N + 1)}"
         )
     g = reframe(dilate(phi, -1), N, M + 1)
-    acc = np.zeros(g.n, dtype=np.complex128)
-    for k, t in enumerate(taps):
-        if t != 0:
-            acc += t * np.roll(g.values, k)
-    return TestFunction(p, N, M + 1, acc)
+    return TestFunction(p, N, M + 1, _roll_columns(g.values, len(taps)) @ taps)
 
 
 def _v0_orthogonality_residual(phi: TestFunction, psi: TestFunction) -> float:
     """max |<phi(.-a), psi(.-b)>| over a, b in I_p.
 
     Translates more than p^N apart have disjoint supports, so only the
-    difference classes d/p^N with |d| < p^N need computing.
+    difference classes d/p^N with |d| < p^N need computing; all of them are
+    entries of one circular cross-correlation of the value vectors.
     """
     N = phi.support_exp
     p = phi.prime
     f = reframe(phi, N, psi.period_exp)
-    scale = float(p) ** (-psi.period_exp)
-    worst = 0.0
-    for d in range(-(p**N) + 1, p**N):
-        ip = scale * np.vdot(np.roll(psi.values, d), f.values)
-        worst = max(worst, abs(ip))
-    return worst
+    corr = float(p) ** (-psi.period_exp) * np.fft.ifft(
+        np.fft.fft(f.values) * np.conj(np.fft.fft(psi.values))
+    )
+    d = np.arange(-(p**N) + 1, p**N)
+    return float(np.max(np.abs(corr[d % psi.n])))
+
+
+def _relative(residual: float, scale: float) -> float:
+    return residual / scale if scale > 0 else residual
+
+
+def _wavelet_residuals(
+    phi: TestFunction, phat: TestFunction, mask: TrigPolynomial, psi: TestFunction
+) -> tuple[float, float]:
+    """Scale-free (factorization, V_0-orthogonality) residuals of one wavelet.
+
+    The factorization residual is relative to max |n(xi/p^N) phi-hat(p xi)|
+    and the orthogonality residual to ||phi|| ||psi||, the Cauchy-Schwarz
+    bound of every inner product it scans.
+    """
+    N, M = phi.frame
+    p = phi.prime
+    idx = np.arange(psi.n)
+    mask_vals = mask.values_on_depth_grid(M + 1 + N)[idx % p ** (M + 1 + N)]
+    expected = mask_vals * phat.values[idx % phat.n]
+    fact = float(np.max(np.abs(fourier(psi).values - expected), initial=0.0))
+    fact = _relative(fact, float(np.max(np.abs(expected), initial=0.0)))
+    orth = _relative(_v0_orthogonality_residual(phi, psi), norm_l2(phi) * norm_l2(psi))
+    return fact, orth
 
 
 def wavelet_functions(
@@ -153,7 +177,6 @@ def wavelet_functions(
     on the full refined grid and orthogonality of every translate pair to
     V_0; raises VerificationError naming the failing mask otherwise.
     """
-    N, M = phi.frame
     p = phi.prime
     phat = fourier(phi)
     out = []
@@ -161,16 +184,11 @@ def wavelet_functions(
         if mk.prime != p:
             raise PreconditionError(f"mask {i} has prime {mk.prime}, expected {p}")
         psi = _tap_combination(phi, mk.taps)
-        psihat = fourier(psi)
-        idx = np.arange(psi.n)
-        mask_vals = mk.values_on_depth_grid(M + 1 + N)[idx % p ** (M + 1 + N)]
-        expected = mask_vals * phat.values[idx % phat.n]
-        fact_res = float(np.max(np.abs(psihat.values - expected), initial=0.0))
+        fact_res, orth_res = _wavelet_residuals(phi, phat, mk, psi)
         if fact_res > tol:
             raise VerificationError(
                 f"mask {i}: transform factorization residual {fact_res:.3e}"
             )
-        orth_res = _v0_orthogonality_residual(phi, psi)
         if orth_res > tol:
             raise VerificationError(
                 f"mask {i}: wavelet is not orthogonal to V_0 "
@@ -288,7 +306,10 @@ def verify_wavelet_set(ws: WaveletSet, tol: float | None = None) -> WaveletVerif
 
     Inclusion: every refined generator phi(x/p - a), a in I_p with
     |a|_p <= p^(N+1), must be expressible through the translates of phi and
-    of the wavelets by I_p points of norm at most p^N. The resultant of the
+    of the wavelets by I_p points of norm at most p^N. The span columns are
+    scaled to unit norm before the solve, so that lstsq's rank cut does not
+    drop the phi columns beside much larger wavelet columns, and the
+    residual is relative to the largest target value. The resultant of the
     scaling taps and the first wavelet's taps is reported alongside.
     """
     tol = ws.tol if tol is None else tol
@@ -298,25 +319,20 @@ def verify_wavelet_set(ws: WaveletSet, tol: float | None = None) -> WaveletVerif
     v0 = 0.0
     fact = 0.0
     for mk, psi in zip(ws.masks, ws.wavelets):
-        v0 = max(v0, _v0_orthogonality_residual(ws.phi, psi))
-        psihat = fourier(psi)
-        idx = np.arange(psi.n)
-        expected = (
-            mk.values_on_depth_grid(M + 1 + N)[idx % p ** (M + 1 + N)]
-            * phat.values[idx % phat.n]
-        )
-        fact = max(fact, float(np.max(np.abs(psihat.values - expected), initial=0.0)))
+        f, o = _wavelet_residuals(ws.phi, phat, mk, psi)
+        fact, v0 = max(fact, f), max(v0, o)
 
-    n = p ** (N + M + 1)
     f0 = reframe(ws.phi, N, M + 1)
-    span_cols = [np.roll(f0.values, k) for k in range(p**N)]
-    for psi in ws.wavelets:
-        span_cols.extend(np.roll(psi.values, k) for k in range(p**N))
-    span = np.column_stack(span_cols)
+    span = _translate_matrix([f0, *ws.wavelets], p**N)
+    norms = np.linalg.norm(span, axis=0)
+    span = span / np.where(norms > 0, norms, 1.0)
     g = reframe(dilate(ws.phi, -1), N, M + 1)
-    targets = np.column_stack([np.roll(g.values, k) for k in range(p ** (N + 1))])
+    targets = _roll_columns(g.values, p ** (N + 1))
     sol, _, _, _ = np.linalg.lstsq(span, targets, rcond=None)
-    incl = float(np.max(np.abs(span @ sol - targets), initial=0.0))
+    incl = _relative(
+        float(np.max(np.abs(span @ sol - targets), initial=0.0)),
+        float(np.max(np.abs(targets), initial=0.0)),
+    )
 
     res = resultant(ws.scaling_mask.taps, ws.masks[0].taps) if ws.masks else 0j
     return WaveletVerification(tol, v0, fact, incl, res)
@@ -352,10 +368,7 @@ class FrameReport:
 
 
 def _translate_matrix(funcs: list[TestFunction], count: int) -> np.ndarray:
-    cols = []
-    for f in funcs:
-        cols.extend(np.roll(f.values, k) for k in range(count))
-    return np.column_stack(cols)
+    return np.hstack([_roll_columns(f.values, count) for f in funcs])
 
 
 def frame_bounds(

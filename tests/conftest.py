@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles.
 
 The oracles recompute quantities the library produces, through routes the
-library never takes: Fourier coefficients as exact-character double sums,
+library never takes: Fourier coefficients as dense exact-character sums,
+Gram and V_0 scans as one roll and inner product per offset,
 inner products as measure-weighted sums of point evaluations on a finer
 grid, polynomial products by schoolbook convolution. Frozen expected
 values in the test modules were produced by these oracles, not by the
@@ -9,9 +10,6 @@ code under test.
 """
 
 from __future__ import annotations
-
-import cmath
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,27 +19,23 @@ from padic_mra import (
     evaluate,
     mask_from_roots,
     refinable_from_mask,
+    reframe,
 )
 from padic_mra.padic_core import PadicRational
 
 
 def oracle_fourier(f: TestFunction) -> np.ndarray:
-    """Fourier grid values by exact-character double sum.
+    """Fourier grid values by the dense exact-character sum.
 
     f-hat(l/p^M) = sum_a p^(-M) chi_p(l a / p^(N+M)) f(a/p^N), with the
-    character phase reduced in integer arithmetic before exponentiation.
+    character phase l a reduced mod p^(N+M) in integer arithmetic before
+    exponentiation.
     """
-    p, N, M = f.prime, f.support_exp, f.period_exp
-    n = f.n
-    mod = p ** (N + M)
-    out = np.zeros(n, dtype=np.complex128)
-    for l in range(n):
-        acc = 0j
-        for a in range(n):
-            phase = Fraction((l * a) % mod, mod)
-            acc += cmath.exp(2j * cmath.pi * float(phase)) * f.values[a]
-        out[l] = acc * p ** (-M)
-    return out
+    p, M = f.prime, f.period_exp
+    mod = f.n
+    idx = np.arange(mod, dtype=np.int64)
+    phases = np.outer(idx, idx) % mod
+    return np.exp(2j * np.pi * phases / mod) @ f.values * float(p) ** (-M)
 
 
 def oracle_inner(f: TestFunction, g: TestFunction) -> complex:
@@ -72,6 +66,39 @@ def oracle_poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
+
+
+def oracle_gram_residual(phi: TestFunction) -> float:
+    """Stage-3 Gram residual by one roll and inner product per offset.
+
+    max |<phi, phi(. - d/p^N)>| over d in [1, p^(N+M)) with v_p(d) < N.
+    """
+    p, N, M = phi.prime, phi.support_exp, phi.period_exp
+    worst = 0.0
+    for d in range(1, phi.n):
+        v, r = 0, d
+        while r % p == 0:
+            r //= p
+            v += 1
+        if v < N:
+            ip = float(p) ** (-M) * np.vdot(np.roll(phi.values, d), phi.values)
+            worst = max(worst, abs(ip))
+    return worst
+
+
+def oracle_v0_residual(phi: TestFunction, psi: TestFunction) -> float:
+    """max |<phi(.-a), psi(.-b)>| over a, b in I_p, one offset at a time.
+
+    The difference classes are d/p^N with |d| < p^N; phi is lifted to the
+    frame of psi before each roll and inner product.
+    """
+    p, N = phi.prime, phi.support_exp
+    f = reframe(phi, N, psi.period_exp)
+    scale = float(p) ** (-psi.period_exp)
+    worst = 0.0
+    for d in range(-(p**N) + 1, p**N):
+        worst = max(worst, abs(scale * np.vdot(np.roll(psi.values, d), f.values)))
+    return worst
 
 
 QUARTIC_ZEROS = [

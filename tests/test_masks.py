@@ -167,3 +167,19 @@ class TestRefinementOperator:
         f = TestFunction(2, 1, 1, np.array([1.0, 0, 0, 0], dtype=np.complex128))
         g = apply_refinement(haar_mask(2), f)
         assert not allclose(g, reframe(f, 2, 2), tol=1e-3)
+
+
+class TestCoveringGenerator:
+    def test_draw_with_m0_off_one_is_redrawn(self):
+        # The first clean-looking draw from this stream has m(0) off 1 by
+        # 9.3e-10; the generator must treat it as unclean and draw again.
+        m = random_covering_mask(np.random.default_rng((99, 1392)), 5, 2, 1)
+        assert abs(m.at_one() - 1.0) <= 1e-12
+        assert support_margin(m, 1)[0]
+
+    def test_long_run_of_unclean_draws_is_not_a_refusal(self):
+        # At p = 5, N = 2 about one draw in eight is clean; this stream
+        # needs 73 draws, more than a 64-try budget allows.
+        m = random_covering_mask(np.random.default_rng((5, 3838)), 5, 2, 1)
+        ok, _, worst = support_margin(m, 1)
+        assert ok and worst <= 1e-12

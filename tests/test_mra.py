@@ -19,9 +19,19 @@ from padic_mra import (
     refinable_from_mask,
     shift_mask,
 )
+from conftest import oracle_gram_residual
 from padic_mra.errors import NotRefinableError, PreconditionError
-from padic_mra.generators import random_unimodular_mask
+from padic_mra.generators import (
+    random_covering_mask,
+    random_function,
+    random_unimodular_mask,
+)
 from padic_mra.padic_core import PadicRational, enumerate_Ip_ball
+
+
+def _covering_phi_p2_n4():
+    mask = random_covering_mask(np.random.default_rng(11), 2, 4, 1)
+    return refinable_from_mask(mask, 1)
 
 
 class TestLSet:
@@ -139,6 +149,43 @@ class TestCheckMra:
         with pytest.raises(PreconditionError):
             check_mra(f)
 
+    @pytest.mark.parametrize("case", ["haar2", "haar3", "quartic", "covering"])
+    def test_axiom_a_block_matches_per_translate_solves(self, case, quartic_phi):
+        phi = {
+            # the ball indicator framed at N = 1, so p translates per block
+            "haar2": lambda: omega(2, 1, 1),
+            "haar3": lambda: omega(3, 1, 1),
+            "quartic": lambda: quartic_phi,
+            "covering": _covering_phi_p2_n4,
+        }[case]()
+        p, N = phi.prime, phi.support_exp
+        report = check_mra(phi)
+        assert len(report.shift_solutions) == p**N
+        for k, sol in enumerate(report.shift_solutions):
+            b = PadicRational(p, k, N)
+            single = shift_mask(phi, b, same_scale=False)
+            assert sol.b == b
+            assert sol.mode == single.mode == "refined"
+            assert sol.ok == single.ok
+            assert np.max(np.abs(sol.coefficients - single.coefficients)) <= 1e-10
+        fit = recover_mask(phi)
+        assert np.max(np.abs(report.recovered_mask.taps - fit.mask.taps)) <= 1e-10
+
+    def test_one_lstsq_for_fit_and_axiom_a(self, quartic_phi, monkeypatch):
+        calls = []
+        real = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        report = check_mra(quartic_phi)
+        # quartic translates are not orthonormal, so the Haar-equivalence
+        # solves never run: the only solve is the window block
+        assert report.haar_equivalent is None
+        assert len(calls) == 1
+
     def test_axiom_b_witnesses_cover_the_range(self):
         report = check_mra(omega(2, 0, 1))
         lo, hi = report.config.sphere_range
@@ -170,6 +217,20 @@ class TestOrthonormality:
         assert rep.verdict
         assert rep.hat_supported_in_unit_ball
         assert rep.unit_modulus_ok is True
+
+
+class TestGramStage:
+    def test_fft_gram_matches_brute_force(self, quartic_phi, rng):
+        phis = [
+            quartic_phi,
+            refinable_from_mask(haar_mask(3), 1),
+            refinable_from_mask(random_unimodular_mask(rng, 2, 1), 2),
+        ]
+        phis += [random_function(rng, p, N, M) for p, N, M in ((2, 2, 2), (3, 1, 2), (5, 1, 1), (2, 0, 3))]
+        for phi in phis:
+            rep = check_orthonormal_shifts(phi)
+            oracle = oracle_gram_residual(phi)
+            assert rep.gram_residual == pytest.approx(oracle, rel=1e-9, abs=1e-13)
 
 
 class TestHaarEquivalence:

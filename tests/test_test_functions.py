@@ -188,13 +188,6 @@ class TestFourier:
     def test_inverse_round_trip(self, f):
         assert allclose(inv_fourier(fourier(f)), f, tol=1e-10)
 
-    @given(functions())
-    @settings(max_examples=25, deadline=None)
-    def test_direct_and_fast_agree(self, f):
-        a = fourier(f, method="direct")
-        b = fourier(f, method="fast")
-        assert np.allclose(a.values, b.values, atol=1e-10)
-
     def test_shift_rule(self):
         f = TestFunction(2, 1, 2, np.arange(8, dtype=np.complex128) - 3j)
         b = PadicRational(2, 3, 1)

@@ -24,12 +24,14 @@ from padic_mra import (
     verify_wavelet_set,
     wavelet_masks,
 )
+from conftest import oracle_v0_residual
 from padic_mra.errors import (
     PreconditionError,
     UnsupportedConfigurationError,
     VerificationError,
 )
-from padic_mra.generators import random_function
+from padic_mra.generators import random_covering_mask, random_function
+from padic_mra.wavelets import WaveletSet, _v0_orthogonality_residual, wavelet_functions
 from padic_mra.padic_core import PadicRational
 
 
@@ -96,12 +98,48 @@ class TestWaveletFunctions:
         assert rep.factorization_residual < 1e-12
 
     def test_wrong_mask_is_rejected(self, quartic_phi, quartic_mask):
-        from padic_mra import wavelet_functions
-
         good = wavelet_masks(quartic_phi, quartic_mask)
         broken = TrigPolynomial(2, good[0].coeffs * 1.01 + 0.01, scale=2)
         with pytest.raises(VerificationError):
             wavelet_functions(quartic_phi, [broken])
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-6, 1e6, 1e9])
+    def test_wrong_mask_is_rejected_at_any_scale(self, quartic_phi, quartic_mask, c):
+        good = wavelet_masks(quartic_phi, quartic_mask)
+        broken = TrigPolynomial(2, c * (good[0].coeffs * 1.01 + 0.01), scale=2)
+        with pytest.raises(VerificationError):
+            wavelet_functions(quartic_phi, [broken])
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-6, 1e6, 1e9])
+    def test_scaled_masks_still_verify(self, quartic_phi, quartic_mask, c):
+        good = wavelet_masks(quartic_phi, quartic_mask)
+        scaled = [TrigPolynomial(2, c * mk.coeffs, scale=2) for mk in good]
+        psis = wavelet_functions(quartic_phi, scaled)
+        ws = WaveletSet(quartic_phi, quartic_mask, psis, scaled)
+        assert verify_wavelet_set(ws).ok
+        assert frame_bounds(ws).ok
+
+    def test_large_taps_verify(self):
+        # p = 2, N = 5, #L = 1: the wavelet taps reach 3e8, so an absolute
+        # residual of a correct set is far above tol
+        mask = random_covering_mask(np.random.default_rng(5), 2, 5, 1)
+        ws = build_wavelet_set(refinable_from_mask(mask, 1), mask)
+        assert np.max(np.abs(ws.masks[0].taps)) > 1e8
+        assert verify_wavelet_set(ws).ok
+        assert frame_bounds(ws).ok
+
+    def test_fft_v0_residual_matches_brute_force(self, quartic_ws, haar3, rng):
+        for ws in (quartic_ws, haar3):
+            for psi in ws.wavelets:
+                got = _v0_orthogonality_residual(ws.phi, psi)
+                assert got == pytest.approx(oracle_v0_residual(ws.phi, psi), abs=1e-13)
+            p, N, M = ws.prime, ws.support_exp, ws.period_exp
+            for _ in range(8):
+                psi = random_function(rng, p, N, M + 1)
+                want = oracle_v0_residual(ws.phi, psi)
+                assert want > 1e-3
+                got = _v0_orthogonality_residual(ws.phi, psi)
+                assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestResultant:
