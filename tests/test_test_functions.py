@@ -188,6 +188,21 @@ class TestFourier:
     def test_inverse_round_trip(self, f):
         assert allclose(inv_fourier(fourier(f)), f, tol=1e-10)
 
+    @given(functions())
+    @settings(max_examples=25, deadline=None)
+    def test_direct_and_fast_agree(self, f):
+        # direct: p^-M * sum_x f(x) chi_p(x xi) with the exact p-adic character
+        fhat = fourier(f)
+        scale = float(f.prime) ** (-f.period_exp)
+        points = f.grid_points()
+        direct = np.array(
+            [
+                scale * sum(v * character(x * xi) for v, x in zip(f.values, points))
+                for xi in fhat.grid_points()
+            ]
+        )
+        assert np.allclose(direct, fhat.values, atol=1e-10)
+
     def test_shift_rule(self):
         f = TestFunction(2, 1, 2, np.arange(8, dtype=np.complex128) - 3j)
         b = PadicRational(2, 3, 1)
