@@ -56,8 +56,7 @@ def main() -> None:
         print(f"psi^({nu}) values: {np.round(psi.values, 6).tolist()}")
     rep = frame_bounds(ws)
     print(f"frame bounds of the normalized wavelet system: "
-          f"A = {rep.A:.6f}, B = {rep.B:.6f} "
-          f"(resultant {rep.resultant:.3g})")
+          f"A = {rep.A:.6f}, B = {rep.B:.6f}")
 
     rng = np.random.default_rng(args.seed)
     f = random_function(rng, p, 0, args.levels)

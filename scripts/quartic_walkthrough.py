@@ -70,8 +70,7 @@ def main() -> None:
     ver = verify_wavelet_set(ws)
     print(f"wavelet set: {len(ws.wavelets)} generator of degree "
           f"{ws.masks[0].degree}, V_0-orthogonality {ver.v0_residual:.1e}, "
-          f"inclusion {ver.inclusion_residual:.1e}, "
-          f"|resultant| = {abs(ver.resultant):.1f}")
+          f"inclusion {ver.inclusion_residual:.1e}")
 
     rep = frame_bounds(ws)
     print(f"frame bounds: A = {rep.A:.6f}, B = {rep.B:.6f} "

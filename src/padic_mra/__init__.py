@@ -7,7 +7,7 @@ orthonormality become residual-checked verdicts, and wavelet systems come
 with computed frame bounds.
 """
 
-from .config import DEFAULT_TOL, JobConfig
+from .config import DEFAULT_TOL
 from .errors import (
     NotRefinableError,
     PreconditionError,
@@ -23,11 +23,8 @@ from .generators import (
 )
 from .masks import (
     TrigPolynomial,
-    apply_refinement,
-    apply_refinement_fourier,
     haar_mask,
     hat_from_mask,
-    hat_value_at,
     mask_from_roots,
     refinable_from_mask,
     sphere_values,
@@ -79,7 +76,6 @@ from .wavelets import (
     build_wavelet_set,
     frame_bounds,
     kozyrev_set,
-    resultant,
     synthesize,
     verify_wavelet_set,
     wavelet_functions,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every computed verdict passes, 1 when a verdict fails
 (not refinable, support violation, criterion false, frame degenerate), 2
-for usage errors (bad flags, unparseable files or rationals, non-prime p).
+for usage errors (bad flags, unparseable files or rationals, p not a prime
+up to MAX_PRIME, a tolerance that is not positive and finite).
 All machine output goes through --json in canonical form; everything a
 subcommand prints is a deterministic function of its inputs.
 """
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .config import DEFAULT_TOL, JobConfig
+from .config import DEFAULT_TOL, check_prime, check_tol
 from .errors import (
     NotRefinableError,
     PreconditionError,
@@ -37,17 +38,25 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _prime(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    # JobConfig re-validates; this gives a clean message for the common case.
-    from .config import is_prime
+def _checked(parse, check):
+    """An argparse type: parse the text, then refuse values check rejects."""
 
-    if not is_prime(value):
-        raise argparse.ArgumentTypeError(f"p = {value} is not prime")
-    return value
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid {parse.__name__}")
+        try:
+            check(value)
+        except PreconditionError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return value
+
+    return convert
+
+
+_prime = _checked(int, check_prime)
+_tol = _checked(float, check_tol)
 
 
 def _load_json(path: str) -> dict:
@@ -81,16 +90,12 @@ def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
 
 
 def _cmd_haar(args: argparse.Namespace) -> int:
-    cfg = JobConfig(
-        prime=args.p, support_exp=0, period_exp=args.M, tol=args.tol, seed=args.seed
-    )
     mask = haar_mask(args.p)
     phi = refinable_from_mask(mask, args.M, tol=args.tol)
-    report = check_mra(phi, tol=args.tol, config=cfg)
+    report = check_mra(phi, tol=args.tol)
     ws = build_wavelet_set(phi, mask, tol=args.tol)
-    frame = frame_bounds(ws, tol=args.tol, config=cfg)
+    frame = frame_bounds(ws, tol=args.tol)
     payload = {
-        "config": serialize.config_to_json(cfg),
         "mask": serialize.mask_to_json(mask),
         "phi": serialize.function_to_json(phi),
         "mra": serialize.mra_report_to_json(report),
@@ -180,14 +185,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     phi = serialize.function_from_json(_load_json(args.phi))
-    cfg = JobConfig(
-        prime=phi.prime,
-        support_exp=max(phi.support_exp, 0),
-        period_exp=max(phi.period_exp, 0),
-        tol=args.tol,
-        input_path=args.phi,
-    )
-    report = check_mra(phi, tol=args.tol, config=cfg)
+    report = check_mra(phi, tol=args.tol)
     payload = serialize.mra_report_to_json(report)
     _write_json(args.out, payload)
     worst_b = max((s.pointwise_residual for s in report.shift_solutions), default=0.0)
@@ -256,7 +254,6 @@ def _cmd_frame(args: argparse.Namespace) -> int:
         [
             f"generators            {report.generator_count}",
             f"frame bounds          A = {report.A:.9g}, B = {report.B:.9g}",
-            f"resultant             {report.resultant:.6g} (|.| = {abs(report.resultant):.6g})",
             f"inclusion residual    {report.inclusion_residual:.2e}",
             f"V0-orthogonality      {report.v0_residual:.2e}",
             f"verdict               {'PASS' if report.ok else 'FAIL'}",
@@ -312,10 +309,9 @@ def _cmd_kozyrev(args: argparse.Namespace) -> int:
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="comparison tolerance")
+    sp.add_argument("--tol", type=_tol, default=DEFAULT_TOL, help="comparison tolerance")
     sp.add_argument("--json", action="store_true", help="print machine-readable JSON")
     sp.add_argument("--out", default=None, help="write the JSON payload to this file")
-    sp.add_argument("--seed", type=int, default=None, help="RNG seed (recorded in configs)")
 
 
 def build_parser() -> argparse.ArgumentParser:

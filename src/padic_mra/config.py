@@ -1,24 +1,23 @@
-"""Shared numeric policy and the per-job configuration record."""
+"""Shared numeric policy and the one check of a job's limits."""
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field
+
+from .errors import PreconditionError
 
 # One global comparison tolerance. Every verdict in the library compares a
-# residual against this unless the caller overrides it per call or per job.
+# residual against this unless the caller overrides it per call.
 DEFAULT_TOL: float = 1e-9
 
 # Hard ceiling on grid sizes p^(N+M), overridable through the environment.
 GRID_CAP_ENV: str = "PADIC_MRA_GRID_CAP"
 DEFAULT_GRID_CAP: int = 10**6
 
-# Primes beyond this are refused by default; grids grow like p^(N+M+2) and
-# nothing in the verification suite is calibrated past it.
+# Primes beyond this are refused; nothing in the verification suite is
+# calibrated past it.
 MAX_PRIME: int = 17
-
-# Sphere exponents scanned when documenting density witnesses.
-DEFAULT_SPHERE_RANGE: tuple[int, int] = (-6, 6)
 
 
 def grid_cap() -> int:
@@ -46,46 +45,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class JobConfig:
-    """Inputs a CLI run or report was produced under.
+def check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise PreconditionError(f"p = {p} is not prime")
+    if p > MAX_PRIME:
+        raise PreconditionError(f"p = {p} exceeds the supported maximum {MAX_PRIME}")
 
-    Attributes:
-        prime: the prime p.
-        support_exp: support exponent N (supp within B_N(0)).
-        period_exp: Fourier-support exponent M (constant on p^M Z_p cosets).
-        tol: comparison tolerance for all verdicts.
-        max_grid: grid ceiling in points.
-        sphere_range: exponent range scanned for density witnesses.
-        seed: RNG seed for randomized commands, None if not used.
-        input_path: primary input file, if any.
-        output_path: primary output file, if any.
+
+def check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise PreconditionError(f"tolerance must be positive and finite, got {tol}")
+
+
+def check_limits(p: int, grid_exp: int, tol: float) -> None:
+    """Refuse a job whose prime, tolerance or largest grid p^grid_exp is out of range.
+
+    Every entry point that builds a grid calls this once with the exponent
+    of the largest grid it builds.
     """
-
-    prime: int
-    support_exp: int = 0
-    period_exp: int = 0
-    tol: float = DEFAULT_TOL
-    max_grid: int = field(default_factory=grid_cap)
-    sphere_range: tuple[int, int] = DEFAULT_SPHERE_RANGE
-    seed: int | None = None
-    input_path: str | None = None
-    output_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise ValueError(f"p must be prime, got {self.prime}")
-        if self.prime > MAX_PRIME:
-            raise ValueError(
-                f"p = {self.prime} exceeds the supported maximum {MAX_PRIME}"
-            )
-        if self.tol <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
-        if self.sphere_range[0] > self.sphere_range[1]:
-            raise ValueError(f"empty sphere range {self.sphere_range}")
-        # Refinement needs two extra levels of headroom over the base grid.
-        needed = self.prime ** (self.support_exp + self.period_exp + 2)
-        if needed > self.max_grid:
-            raise ValueError(
-                f"p^(N+M+2) = {needed} exceeds the grid cap {self.max_grid}"
-            )
+    check_prime(p)
+    check_tol(tol)
+    cap = grid_cap()
+    if p**grid_exp > cap:
+        raise PreconditionError(
+            f"grid p^{grid_exp} = {p**grid_exp} exceeds the grid cap {cap}"
+        )

@@ -8,13 +8,15 @@ root placement, normalization and grid evaluation exact.
 A scaling mask at scale N has fewer than p^(N+1) taps and m(0) = 1. The
 refinable function it determines has transform
 
-    phat(xi) = prod_{t >= 1} m(xi / p^t sub-depth ...)
+    phat(xi) = prod_{t >= 1} m(xi / p^t)
 
 realized here as the finite product over depths t = 1 .. s+N at a point of
 norm p^s; factors beyond that depth equal m on Z_p-integers, which is 1.
-On the uniform grid the product telescopes exactly, so the refinement
-identity holds on the grid by construction and every support decision
-reduces to one sphere of unit residues.
+hat_from_mask and sphere_values read the same depth product. On the
+uniform grid the product telescopes exactly, so the refinement identity
+holds on the grid by construction and every support decision reduces to
+one sphere of unit residues. refinable_from_mask applies check_mra's
+limits (config.check_limits on the refined frame (N, M+1)) to its output.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, grid_cap
+from .config import DEFAULT_TOL, check_limits, check_tol
 from .errors import PreconditionError, SupportViolationError
 from .padic_core import PadicRational, character, character_phase
-from .test_functions import TestFunction, dilate, fourier, inv_fourier, reframe
+from .test_functions import TestFunction, inv_fourier
 
 __all__ = [
     "TrigPolynomial",
@@ -37,9 +39,6 @@ __all__ = [
     "refinable_from_mask",
     "support_margin",
     "sphere_values",
-    "hat_value_at",
-    "apply_refinement",
-    "apply_refinement_fourier",
 ]
 
 
@@ -108,6 +107,7 @@ class TrigPolynomial:
 
 
 def _require_scaling_mask(m: TrigPolynomial, tol: float) -> int:
+    check_tol(tol)
     if m.scale is None:
         raise PreconditionError("mask has no scale N attached")
     N = m.scale
@@ -162,6 +162,16 @@ def mask_from_roots(
     return TrigPolynomial(p, poly, scale)
 
 
+def _depth_product(m: TrigPolynomial, depth: int) -> np.ndarray:
+    """prod_{t=1..depth} m(l / p^t) for l = 0 .. p^depth - 1."""
+    n = m.prime**depth
+    idx = np.arange(n)
+    vals = np.ones(n, dtype=np.complex128)
+    for t in range(1, depth + 1):
+        vals = vals * m.values_on_depth_grid(t)[idx % m.prime**t]
+    return vals
+
+
 def hat_from_mask(m: TrigPolynomial, period_exp: int, tol: float = DEFAULT_TOL) -> TestFunction:
     """Transform of the refinable function, as an element of D_M^N.
 
@@ -172,13 +182,7 @@ def hat_from_mask(m: TrigPolynomial, period_exp: int, tol: float = DEFAULT_TOL) 
     M = period_exp
     if M + N < 0:
         raise PreconditionError(f"frame ({N}, {M}) has N + M < 0")
-    p = m.prime
-    n = p ** (M + N)
-    idx = np.arange(n)
-    vals = np.ones(n, dtype=np.complex128)
-    for t in range(1, M + N + 1):
-        vals = vals * m.values_on_depth_grid(t)[idx % p**t]
-    return TestFunction(p, M, N, vals)
+    return TestFunction(m.prime, M, N, _depth_product(m, M + N))
 
 
 def sphere_values(
@@ -196,13 +200,9 @@ def sphere_values(
         raise PreconditionError(
             f"sphere exponent {s} lies inside B_{-N}, where the product is 1"
         )
-    p = m.prime
-    n = p ** (s + N)
-    idx = np.arange(n)
-    vals = np.ones(n, dtype=np.complex128)
-    for t in range(1, s + N + 1):
-        vals = vals * m.values_on_depth_grid(t)[idx % p**t]
-    units = idx[idx % p != 0]
+    vals = _depth_product(m, s + N)
+    units = np.arange(vals.shape[0])
+    units = units[units % m.prime != 0]
     return units, vals[units]
 
 
@@ -223,79 +223,25 @@ def support_margin(
     return bool(mags[worst] <= tol), witness, float(mags[worst])
 
 
-def hat_value_at(m: TrigPolynomial, xi: PadicRational, tol: float = DEFAULT_TOL) -> complex:
-    """Single-point product formula: prod_{t=1..s+N} m(u/p^t) at xi = u/p^s."""
-    N = _require_scaling_mask(m, tol)
-    if xi.prime != m.prime:
-        raise PreconditionError(f"mixed primes {m.prime} and {xi.prime}")
-    out = 1.0 + 0j
-    for t in range(1, xi.exp + N + 1):
-        out *= m.value(PadicRational(m.prime, xi.num, t))
-    return out
-
-
 def refinable_from_mask(
     m: TrigPolynomial,
     period_exp: int,
     tol: float = DEFAULT_TOL,
-    max_grid: int | None = None,
 ) -> TestFunction:
     """Solve the refinement equation for phi in D_N^M, or refuse.
 
     Raises SupportViolationError (with the extremal sphere point) when the
     product formula does not vanish on the sphere p^(M+1), i.e. when no
-    solution with the requested Fourier support exists.
+    solution with the requested Fourier support exists. The refined frame
+    (N, M+1) that check_mra builds from the result must fit the grid cap.
     """
     N = _require_scaling_mask(m, tol)
     M = period_exp
     if M + N < 0:
         raise PreconditionError(f"frame ({N}, {M}) has N + M < 0")
-    cap = grid_cap() if max_grid is None else max_grid
-    if m.prime ** (M + N + 1) > cap:
-        raise PreconditionError(
-            f"grid p^(M+1+N) = {m.prime ** (M + 1 + N)} exceeds cap {cap}"
-        )
+    check_limits(m.prime, N + M + 1, tol)
     ok, witness, worst = support_margin(m, M, tol)
     if not ok:
         raise SupportViolationError(witness, worst)
     hat = hat_from_mask(m, M, tol)
     return inv_fourier(hat)
-
-
-def apply_refinement(m: TrigPolynomial, f: TestFunction, tol: float = DEFAULT_TOL) -> TestFunction:
-    """One refinement step sum_k h_k f(x/p - k/p^(N+1)) on the refined frame.
-
-    f(x/p - k/p^(N+1)) = g(x - k/p^N) with g the dilate f(x/p), so the sum
-    is a tap-weighted combination of grid translates of g; the result lands
-    in D_N^(M+1) and is re-framed to the refined frame (N+1, M+1).
-    """
-    N = _require_scaling_mask(m, tol)
-    if f.prime != m.prime:
-        raise PreconditionError(f"mixed primes {m.prime} and {f.prime}")
-    g = reframe(dilate(f, -1), N, f.period_exp + 1)
-    taps = m.taps
-    acc = np.zeros(g.n, dtype=np.complex128)
-    for k in range(len(taps)):
-        if taps[k] != 0:
-            acc += taps[k] * np.roll(g.values, k)
-    out = TestFunction(f.prime, N, f.period_exp + 1, acc)
-    return reframe(out, N + 1, f.period_exp + 1)
-
-
-def apply_refinement_fourier(
-    m: TrigPolynomial, f: TestFunction, tol: float = DEFAULT_TOL
-) -> TestFunction:
-    """Same step computed on the transform side: ghat(xi) = m(xi/p^N) fhat(p xi)."""
-    N = _require_scaling_mask(m, tol)
-    if f.prime != m.prime:
-        raise PreconditionError(f"mixed primes {m.prime} and {f.prime}")
-    p = f.prime
-    M = f.period_exp
-    fhat = fourier(f)
-    n2 = p ** (N + M + 2)
-    idx = np.arange(n2)
-    # Point l/p^(M+1): mask argument has depth M+1+N, fhat argument l/p^M.
-    mask_vals = m.values_on_depth_grid(M + 1 + N)[idx % p ** (M + 1 + N)]
-    fhat_vals = fhat.values[idx % fhat.n]
-    ghat = TestFunction(p, M + 1, N + 1, mask_vals * fhat_vals)
-    return inv_fourier(ghat)

@@ -17,23 +17,24 @@ verdicts backed by residuals:
     |a|_p > p^(N+1) vanish on B_N, so a minimal expansion never needs them.
   * check_orthonormal_shifts / check_haar_equivalence / check_mra: stacked
     evidence reports; every verdict is a residual comparison, never a
-    symbolic shortcut.
+    symbolic shortcut, and a report holds only what was computed.
 
 The mask fit and every refined-window expansion solve against the same
 window matrix; only the right-hand side changes, and for b = k/p^N it is
 the grid roll of the fit target by k. check_mra therefore factors the
 window once and solves the fit together with all p^N axiom-(a) expansions
 as one block of right-hand sides. Gram scans over translates are circular
-correlations and are computed with one FFT.
+correlations and are computed with one FFT. Every translate matrix is one
+index gather, _roll_columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_SPHERE_RANGE, DEFAULT_TOL, JobConfig
+from .config import DEFAULT_TOL, check_limits
 from .errors import NotRefinableError, PreconditionError
 from .masks import TrigPolynomial
 from .padic_core import PadicRational, character
@@ -130,10 +131,10 @@ def l_set(phi: TestFunction, tol: float = DEFAULT_TOL) -> LSet:
 # Refinement-equation fitting
 
 
-def _roll_columns(values: np.ndarray, count: int) -> np.ndarray:
-    """Matrix whose column k is np.roll(values, k), for 0 <= k < count."""
+def _roll_columns(values: np.ndarray, count: int, step: int = 1) -> np.ndarray:
+    """Matrix whose column k is np.roll(values, k * step), for 0 <= k < count."""
     idx = np.arange(values.shape[0])
-    return values[(idx[:, None] - np.arange(count)[None, :]) % values.shape[0]]
+    return values[(idx[:, None] - step * np.arange(count)[None, :]) % values.shape[0]]
 
 
 def _window_solve(phi: TestFunction, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,8 +296,9 @@ class OrthonormalityReport:
     Stage 3 (Gram, the verdict authority): ||phi|| = 1 and
     <phi, phi(. - d/p^N)> = 0 for every d in [1, p^(N+M)) with v_p(d) < N.
     Those d are the difference classes of distinct I_p translates together
-    with their unit-ball-periodic copies; translates further than p^N apart
-    have disjoint supports, which is recorded as a note, not re-tested.
+    with their unit-ball-periodic copies. Translates further than p^N apart
+    have disjoint supports and are orthogonal without computation, so they
+    are not tested.
     """
 
     tol: float
@@ -309,7 +311,6 @@ class OrthonormalityReport:
     norm_value: float
     norm_ok: bool
     verdict: bool
-    notes: list[str] = field(default_factory=list)
 
 
 def check_orthonormal_shifts(
@@ -351,12 +352,6 @@ def check_orthonormal_shifts(
     norm_value = norm_l2(phi)
     norm_ok = abs(norm_value - 1.0) <= tol
 
-    notes = [
-        "translates separated by more than p^N have disjoint supports and "
-        "are orthogonal without computation",
-        "Gram stage ranges over d with v_p(d) < N: the difference classes "
-        "of distinct I_p translates and their unit-ball-periodic copies",
-    ]
     return OrthonormalityReport(
         tol=tol,
         char_sum_residuals=char_res,
@@ -368,7 +363,6 @@ def check_orthonormal_shifts(
         norm_value=norm_value,
         norm_ok=bool(norm_ok),
         verdict=bool(gram_ok and norm_ok),
-        notes=notes,
     )
 
 
@@ -394,15 +388,16 @@ def check_haar_equivalence(
 
     cols_phi = _roll_columns(phi.values, p**N)
     cols_haar = _roll_columns(omega(p, N, M).values, p**N)
-    return _mutual_span(cols_phi, cols_haar, tol)
+    return _mutual_span_residual(cols_phi, cols_haar) <= tol
 
 
-def _mutual_span(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+def _mutual_span_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """Sup residual of expressing the columns of b through a, and of a through b."""
     sol_ab, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
     sol_ba, _, _, _ = np.linalg.lstsq(b, a, rcond=None)
     res_ab = float(np.max(np.abs(a @ sol_ab - b), initial=0.0))
     res_ba = float(np.max(np.abs(b @ sol_ba - a), initial=0.0))
-    return res_ab <= tol and res_ba <= tol
+    return max(res_ab, res_ba)
 
 
 # --------------------------------------------------------------------------
@@ -413,11 +408,9 @@ def _mutual_span(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 class MraReport:
     """Everything check_mra measured, with the criterion verdict.
 
-    criterion_ok is exactly: refinable, and #L <= p^N. The axiom evidence
-    is recorded alongside (axiom (a) through refined-window shift
-    expansions for every b = k/p^N; axiom (b) through per-sphere dilation
-    witnesses; axiom (c) as a report note, since local constancy plus
-    compact Fourier support settle it without computation).
+    criterion_ok is exactly: refinable, and #L <= p^N. Axiom (a) is
+    recorded alongside, through refined-window shift expansions for every
+    b = k/p^N.
     """
 
     prime: int
@@ -432,36 +425,26 @@ class MraReport:
     criterion_ok: bool
     shift_solutions: list[ShiftMaskSolution]
     axiom_a_ok: bool
-    axiom_b_ok: bool
-    axiom_b_witnesses: dict[int, int]
     orthonormality: OrthonormalityReport
     haar_equivalent: bool | None
-    notes: list[str] = field(default_factory=list)
-    config: JobConfig | None = None
 
 
-def check_mra(
-    phi: TestFunction,
-    tol: float = DEFAULT_TOL,
-    sphere_range: tuple[int, int] = DEFAULT_SPHERE_RANGE,
-    config: JobConfig | None = None,
-) -> MraReport:
+def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
     """Decide whether phi generates a multiresolution analysis.
 
     Negative frame components are lifted to zero first (pointwise-neutral).
     Rejects candidates with zero mean: the criterion is not defined there.
+    The prime, tol and the refined grid p^(N+M+1) pass config.check_limits.
+
+    Density and trivial intersection hold for every nonzero-mean phi with
+    compact Fourier support (every sphere |xi| = p^s dilates into B_{-N},
+    where the transform is the mean; for orthonormal translates classical
+    sufficiency gives both too), so the report holds nothing for them.
     """
     phi = _normalize_frame(phi)
     N, M = phi.frame
     p = phi.prime
-    if config is None:
-        config = JobConfig(
-            prime=p,
-            support_exp=N,
-            period_exp=M,
-            tol=tol,
-            sphere_range=sphere_range,
-        )
+    check_limits(p, N + M + 1, tol)
 
     hat0 = fourier(phi).values[0]
     if abs(hat0) <= tol:
@@ -484,20 +467,7 @@ def check_mra(
     ls = l_set(phi, tol)
     criterion_ok = bool(refinable and ls.within_bound)
 
-    # Every sphere |xi| = p^s dilates into B_{-N}, where the transform is
-    # identically the (nonzero) mean; level s + N is a uniform witness.
-    witnesses = {s: s + N for s in range(sphere_range[0], sphere_range[1] + 1)}
-    axiom_b_ok = True
-
     ortho = check_orthonormal_shifts(phi, tol)
-    haar_equiv: bool | None = None
-    notes = [
-        "axiom (c), triviality of the intersection, holds for every "
-        "nonzero-mean test function with compact Fourier support; no "
-        "computation is attached",
-        "when the translates are orthonormal the intersection and density "
-        "axioms follow from classical sufficiency as well",
-    ]
     report = MraReport(
         prime=p,
         support_exp=N,
@@ -511,14 +481,11 @@ def check_mra(
         criterion_ok=criterion_ok,
         shift_solutions=solutions,
         axiom_a_ok=bool(axiom_a_ok),
-        axiom_b_ok=axiom_b_ok,
-        axiom_b_witnesses=witnesses,
         orthonormality=ortho,
         haar_equivalent=None,
-        notes=notes,
-        config=config,
     )
     if ortho.verdict and criterion_ok:
-        haar_equiv = check_haar_equivalence(phi, tol, mra_report=report, ortho_report=ortho)
-        report.haar_equivalent = haar_equiv
+        report.haar_equivalent = check_haar_equivalence(
+            phi, tol, mra_report=report, ortho_report=ortho
+        )
     return report

@@ -13,7 +13,6 @@ from typing import Any
 
 import numpy as np
 
-from .config import JobConfig
 from .masks import TrigPolynomial
 from .mra import LSet, MraReport, OrthonormalityReport, ShiftMaskSolution
 from .padic_core import PadicRational
@@ -31,7 +30,6 @@ __all__ = [
     "wavelet_set_to_json",
     "wavelet_set_from_json",
     "tree_to_json",
-    "config_to_json",
     "lset_to_json",
     "shift_solution_to_json",
     "orthonormality_to_json",
@@ -131,22 +129,6 @@ def tree_to_json(tree: CoefficientTree) -> dict:
     }
 
 
-def config_to_json(cfg: JobConfig | None) -> dict | None:
-    if cfg is None:
-        return None
-    return {
-        "p": cfg.prime,
-        "N": cfg.support_exp,
-        "M": cfg.period_exp,
-        "tol": cfg.tol,
-        "max_grid": cfg.max_grid,
-        "sphere_range": list(cfg.sphere_range),
-        "seed": cfg.seed,
-        "input": cfg.input_path,
-        "output": cfg.output_path,
-    }
-
-
 def lset_to_json(ls: LSet) -> dict:
     return {
         "p": ls.prime,
@@ -185,7 +167,6 @@ def orthonormality_to_json(r: OrthonormalityReport) -> dict:
         "norm_value": r.norm_value,
         "norm_ok": r.norm_ok,
         "verdict": r.verdict,
-        "notes": list(r.notes),
     }
 
 
@@ -203,12 +184,8 @@ def mra_report_to_json(r: MraReport) -> dict:
         "criterion_ok": r.criterion_ok,
         "shift_solutions": [shift_solution_to_json(s) for s in r.shift_solutions],
         "axiom_a_ok": r.axiom_a_ok,
-        "axiom_b_ok": r.axiom_b_ok,
-        "axiom_b_witnesses": {str(s): j for s, j in r.axiom_b_witnesses.items()},
         "orthonormal": orthonormality_to_json(r.orthonormality),
         "haar_equivalent": r.haar_equivalent,
-        "notes": list(r.notes),
-        "config": config_to_json(r.config),
     }
 
 
@@ -217,11 +194,9 @@ def frame_report_to_json(r: FrameReport) -> dict:
         "A": r.A,
         "B": r.B,
         "spectrum": [float(x) for x in r.spectrum],
-        "resultant": _pair(r.resultant),
         "inclusion_residual": r.inclusion_residual,
         "v0_residual": r.v0_residual,
         "factorization_residual": r.factorization_residual,
         "generator_count": r.generator_count,
         "tol": r.tol,
-        "config": config_to_json(r.config),
     }

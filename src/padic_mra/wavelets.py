@@ -22,6 +22,10 @@ constant.
 Frame quality is read off the Gram matrix of the translate system: on the
 span, sum_i |<f, g_i>|^2 sits between A and B times ||f||^2 exactly when A
 and B are the extreme nonzero Gram eigenvalues.
+
+A translate by k/p^(N+j) before the dilation by p^-j is one by k/p^N
+after it, so each level matrix of the multilevel transform is one index
+gather of a single dilated generator.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DEFAULT_TOL, JobConfig
+from .config import DEFAULT_TOL
 from .errors import PreconditionError, UnsupportedConfigurationError, VerificationError
 from .masks import TrigPolynomial, haar_mask
-from .mra import LSet, _roll_columns, l_set
+from .mra import LSet, _mutual_span_residual, _roll_columns, l_set
 from .padic_core import PadicRational, character
 from .test_functions import (
     TestFunction,
@@ -42,7 +46,6 @@ from .test_functions import (
     norm_l2,
     omega,
     reframe,
-    shift,
 )
 
 __all__ = [
@@ -54,7 +57,6 @@ __all__ = [
     "WaveletVerification",
     "FrameReport",
     "frame_bounds",
-    "resultant",
     "kozyrev_set",
     "CoefficientTree",
     "analyze",
@@ -252,36 +254,6 @@ def build_wavelet_set(
     return WaveletSet(phi, m0, psis, masks, tol)
 
 
-def resultant(h: np.ndarray, g: np.ndarray) -> complex:
-    """Resultant of two tap vectors in ascending order.
-
-    Exact trailing zeros are trimmed first; the determinant is taken over
-    the ascending-band matrix whose first deg(g) rows carry h and last
-    deg(h) rows carry g (the 2x2 case is h_0 g_1 - h_1 g_0). Zero iff the
-    polynomials share a root, provided neither is the zero polynomial.
-    """
-    h = np.asarray(h, dtype=np.complex128).reshape(-1)
-    g = np.asarray(g, dtype=np.complex128).reshape(-1)
-
-    def trim(v: np.ndarray) -> np.ndarray:
-        nz = np.nonzero(v)[0]
-        return v[: nz[-1] + 1] if nz.size else v[:0]
-
-    h, g = trim(h), trim(g)
-    if h.size == 0 or g.size == 0:
-        return 0j
-    dh, dg = h.size - 1, g.size - 1
-    size = dh + dg
-    if size == 0:
-        return 1 + 0j
-    s = np.zeros((size, size), dtype=np.complex128)
-    for i in range(dg):
-        s[i, i : i + dh + 1] = h
-    for j in range(dh):
-        s[dg + j, j : j + dg + 1] = g
-    return complex(np.linalg.det(s))
-
-
 @dataclass
 class WaveletVerification:
     """Residual evidence that a wavelet set is one."""
@@ -290,7 +262,6 @@ class WaveletVerification:
     v0_residual: float
     factorization_residual: float
     inclusion_residual: float
-    resultant: complex
 
     @property
     def ok(self) -> bool:
@@ -309,8 +280,7 @@ def verify_wavelet_set(ws: WaveletSet, tol: float | None = None) -> WaveletVerif
     of the wavelets by I_p points of norm at most p^N. The span columns are
     scaled to unit norm before the solve, so that lstsq's rank cut does not
     drop the phi columns beside much larger wavelet columns, and the
-    residual is relative to the largest target value. The resultant of the
-    scaling taps and the first wavelet's taps is reported alongside.
+    residual is relative to the largest target value.
     """
     tol = ws.tol if tol is None else tol
     p, N, M = ws.prime, ws.support_exp, ws.period_exp
@@ -333,9 +303,7 @@ def verify_wavelet_set(ws: WaveletSet, tol: float | None = None) -> WaveletVerif
         float(np.max(np.abs(span @ sol - targets), initial=0.0)),
         float(np.max(np.abs(targets), initial=0.0)),
     )
-
-    res = resultant(ws.scaling_mask.taps, ws.masks[0].taps) if ws.masks else 0j
-    return WaveletVerification(tol, v0, fact, incl, res)
+    return WaveletVerification(tol, v0, fact, incl)
 
 
 # --------------------------------------------------------------------------
@@ -349,13 +317,11 @@ class FrameReport:
     A: float
     B: float
     spectrum: np.ndarray
-    resultant: complex
     inclusion_residual: float
     v0_residual: float
     factorization_residual: float
     generator_count: int
     tol: float
-    config: JobConfig | None = None
 
     @property
     def ok(self) -> bool:
@@ -367,15 +333,11 @@ class FrameReport:
         )
 
 
-def _translate_matrix(funcs: list[TestFunction], count: int) -> np.ndarray:
-    return np.hstack([_roll_columns(f.values, count) for f in funcs])
+def _translate_matrix(funcs: list[TestFunction], count: int, step: int = 1) -> np.ndarray:
+    return np.hstack([_roll_columns(f.values, count, step) for f in funcs])
 
 
-def frame_bounds(
-    ws: WaveletSet,
-    tol: float | None = None,
-    config: JobConfig | None = None,
-) -> FrameReport:
+def frame_bounds(ws: WaveletSet, tol: float | None = None) -> FrameReport:
     """Extreme nonzero Gram eigenvalues of {psi_nu(. - k/p^N)}.
 
     On the span of the system these are exactly the best frame constants:
@@ -400,13 +362,11 @@ def frame_bounds(
         A=float(above[0]),
         B=lam_max,
         spectrum=np.asarray(spectrum),
-        resultant=verification.resultant,
         inclusion_residual=verification.inclusion_residual,
         v0_residual=verification.v0_residual,
         factorization_residual=verification.factorization_residual,
         generator_count=a.shape[1],
         tol=tol,
-        config=config,
     )
 
 
@@ -442,13 +402,9 @@ def kozyrev_set(p: int, tol: float = DEFAULT_TOL) -> WaveletSet:
                     f"character wavelets {i} and {jj} are not orthogonal"
                 )
     reference = wavelet_functions(phi, wavelet_masks(phi, haar_mask(p), tol), tol)
-    a = np.column_stack([psi.values for psi in psis])
-    b = np.column_stack([psi.values for psi in reference])
-    sol_ab, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    sol_ba, _, _, _ = np.linalg.lstsq(b, a, rcond=None)
-    span_res = max(
-        float(np.max(np.abs(a @ sol_ab - b), initial=0.0)),
-        float(np.max(np.abs(b @ sol_ba - a), initial=0.0)),
+    span_res = _mutual_span_residual(
+        np.column_stack([psi.values for psi in psis]),
+        np.column_stack([psi.values for psi in reference]),
     )
     if span_res > tol:
         raise VerificationError(
@@ -484,24 +440,26 @@ class CoefficientTree:
     tol: float
 
 
+def _level_matrix(
+    funcs: list[TestFunction], N: int, j: int, frame: tuple[int, int]
+) -> np.ndarray:
+    """Columns p^(j/2) f(p^-j x - k/p^(N+j)), 0 <= k < p^(N+j), per f in funcs.
+
+    Column k is the dilate translated by k/p^N: a roll by k p^(frame N - N).
+    """
+    p = funcs[0].prime
+    gens = [reframe(dilate(f, -j, normalized=True), *frame) for f in funcs]
+    return _translate_matrix(gens, p ** (N + j), p ** (frame[0] - N))
+
+
 def _v_matrix(ws: WaveletSet, j: int, frame: tuple[int, int]) -> np.ndarray:
     """Columns p^(j/2) phi(p^-j x - a), a over I_p with |a| <= p^(N+j)."""
-    p, N = ws.prime, ws.support_exp
-    cols = []
-    for k in range(p ** (N + j)):
-        g = dilate(shift(ws.phi, PadicRational(p, k, N + j)), -j, normalized=True)
-        cols.append(reframe(g, *frame).values)
-    return np.column_stack(cols)
+    return _level_matrix([ws.phi], ws.support_exp, j, frame)
 
 
 def _w_matrix(ws: WaveletSet, j: int, frame: tuple[int, int]) -> np.ndarray:
-    p, N = ws.prime, ws.support_exp
-    cols = []
-    for psi in ws.wavelets:
-        for k in range(p ** (N + j)):
-            g = dilate(shift(psi, PadicRational(p, k, N + j)), -j, normalized=True)
-            cols.append(reframe(g, *frame).values)
-    return np.column_stack(cols)
+    """The same columns for each wavelet, one block of p^(N+j) per wavelet."""
+    return _level_matrix(ws.wavelets, ws.support_exp, j, frame)
 
 
 def _working_frame(ws: WaveletSet, f: TestFunction, j1: int) -> tuple[int, int]:

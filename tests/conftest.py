@@ -4,7 +4,10 @@ The oracles recompute quantities the library produces, through routes the
 library never takes: Fourier coefficients as dense exact-character sums,
 Gram and V_0 scans as one roll and inner product per offset,
 inner products as measure-weighted sums of point evaluations on a finer
-grid, polynomial products by schoolbook convolution. Frozen expected
+grid, polynomial products by schoolbook convolution, the depth product
+one point at a time, one refinement step by a tap-weighted sum of rolls or
+on the transform side, and the transform's level matrices column by
+column through shift, dilate and reframe. Frozen expected
 values in the test modules were produced by these oracles, not by the
 code under test.
 """
@@ -16,10 +19,15 @@ import pytest
 
 from padic_mra import (
     TestFunction,
+    TrigPolynomial,
+    dilate,
     evaluate,
+    fourier,
+    inv_fourier,
     mask_from_roots,
     refinable_from_mask,
     reframe,
+    shift,
 )
 from padic_mra.padic_core import PadicRational
 
@@ -99,6 +107,55 @@ def oracle_v0_residual(phi: TestFunction, psi: TestFunction) -> float:
     for d in range(-(p**N) + 1, p**N):
         worst = max(worst, abs(scale * np.vdot(np.roll(psi.values, d), f.values)))
     return worst
+
+
+def oracle_hat_value_at(m: TrigPolynomial, xi: PadicRational) -> complex:
+    """Single-point product formula: prod_{t=1..s+N} m(u/p^t) at xi = u/p^s."""
+    out = 1.0 + 0j
+    for t in range(1, xi.exp + m.scale + 1):
+        out *= m.value(PadicRational(m.prime, xi.num, t))
+    return out
+
+
+def oracle_apply_refinement(m: TrigPolynomial, f: TestFunction) -> TestFunction:
+    """One refinement step sum_k h_k f(x/p - k/p^(N+1)) on the refined frame.
+
+    f(x/p - k/p^(N+1)) = g(x - k/p^N) with g the dilate f(x/p), so the sum
+    is a tap-weighted combination of grid translates of g; the result lands
+    in D_N^(M+1) and is re-framed to the refined frame (N+1, M+1).
+    """
+    N = m.scale
+    g = reframe(dilate(f, -1), N, f.period_exp + 1)
+    acc = np.zeros(g.n, dtype=np.complex128)
+    for k, tap in enumerate(m.taps):
+        if tap != 0:
+            acc += tap * np.roll(g.values, k)
+    out = TestFunction(f.prime, N, f.period_exp + 1, acc)
+    return reframe(out, N + 1, f.period_exp + 1)
+
+
+def oracle_apply_refinement_fourier(m: TrigPolynomial, f: TestFunction) -> TestFunction:
+    """Same step on the transform side: ghat(xi) = m(xi/p^N) fhat(p xi)."""
+    p, N, M = f.prime, m.scale, f.period_exp
+    fhat = fourier(f)
+    idx = np.arange(p ** (N + M + 2))
+    # Point l/p^(M+1): mask argument has depth M+1+N, fhat argument l/p^M.
+    mask_vals = m.values_on_depth_grid(M + 1 + N)[idx % p ** (M + 1 + N)]
+    ghat = TestFunction(p, M + 1, N + 1, mask_vals * fhat.values[idx % fhat.n])
+    return inv_fourier(ghat)
+
+
+def oracle_level_matrix(
+    funcs: list[TestFunction], N: int, j: int, frame: tuple[int, int]
+) -> np.ndarray:
+    """Columns p^(j/2) f(p^-j x - k/p^(N+j)), built one TestFunction at a time."""
+    p = funcs[0].prime
+    cols = []
+    for f in funcs:
+        for k in range(p ** (N + j)):
+            g = dilate(shift(f, PadicRational(p, k, N + j)), -j, normalized=True)
+            cols.append(reframe(g, *frame).values)
+    return np.column_stack(cols)
 
 
 QUARTIC_ZEROS = [

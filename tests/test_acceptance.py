@@ -236,7 +236,6 @@ def test_criterion_5_wavelet_frame_suite():
         case_ok = (
             ver.v0_residual < 1e-9
             and ver.inclusion_residual < 1e-9
-            and abs(ver.resultant) > 1e-9
             and 0 < rep.A <= rep.B
             and slack <= 1e-8
         )

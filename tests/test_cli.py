@@ -43,6 +43,30 @@ class TestHaarCommand:
         assert exc.value.code == 2
 
 
+class TestArgumentLimits:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("limits")
+        main(["haar", "--p", "2", "--out", str(d / "haar.json")])
+        doc = json.loads((d / "haar.json").read_text())
+        (d / "phi.json").write_text(json.dumps(doc["phi"]))
+        (d / "ws.json").write_text(json.dumps(doc["wavelet_set"]))
+        return d
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("command", ["ortho", "frame", "check"])
+    def test_tolerance_must_be_positive_and_finite(self, files, capsys, command, tol):
+        flag, name = ("--ws", "ws.json") if command == "frame" else ("--phi", "phi.json")
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, str(files / name), "--tol", tol])
+        assert exc.value.code == 2
+
+    def test_prime_above_the_maximum_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["kozyrev", "--p", "19"])
+        assert exc.value.code == 2
+
+
 class TestMaskPipeline:
     def test_full_chain(self, tmp_path, capsys):
         mask_file = tmp_path / "mask.json"

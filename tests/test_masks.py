@@ -5,17 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import QUARTIC_ZEROS, oracle_poly_mul
+from conftest import (
+    QUARTIC_ZEROS,
+    oracle_apply_refinement,
+    oracle_apply_refinement_fourier,
+    oracle_hat_value_at,
+    oracle_poly_mul,
+)
 from padic_mra import (
     TestFunction,
     TrigPolynomial,
     allclose,
-    apply_refinement,
-    apply_refinement_fourier,
+    check_mra,
     fourier,
     haar_mask,
     hat_from_mask,
-    hat_value_at,
     mask_from_roots,
     omega,
     refinable_from_mask,
@@ -23,6 +27,7 @@ from padic_mra import (
     sphere_values,
     support_margin,
 )
+from padic_mra.config import GRID_CAP_ENV
 from padic_mra.errors import PreconditionError, SupportViolationError
 from padic_mra.generators import random_covering_mask, random_noise_mask
 from padic_mra.padic_core import PadicRational, character
@@ -108,12 +113,35 @@ class TestRefinableFromMask:
         phat = hat_from_mask(quartic_mask, 1)
         for l, xi in enumerate(phat.grid_points()):
             assert phat.values[l] == pytest.approx(
-                hat_value_at(quartic_mask, xi), abs=1e-12
+                oracle_hat_value_at(quartic_mask, xi), abs=1e-12
             )
 
     def test_grid_cap_is_enforced(self):
         with pytest.raises(PreconditionError):
             refinable_from_mask(haar_mask(2), 25)
+
+    def test_refine_and_check_share_one_grid_cap(self, monkeypatch):
+        # both build the refined frame (N, M+1): 2^(M+1) points at N = 0
+        monkeypatch.setenv(GRID_CAP_ENV, "64")
+        phi = refinable_from_mask(haar_mask(2), 5)
+        assert check_mra(phi).criterion_ok
+        with pytest.raises(PreconditionError):
+            refinable_from_mask(haar_mask(2), 6)
+        with pytest.raises(PreconditionError):
+            check_mra(omega(2, 0, 6))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("inf"), float("nan")])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(PreconditionError, match="tolerance"):
+            refinable_from_mask(haar_mask(2), 1, tol=tol)
+        with pytest.raises(PreconditionError, match="tolerance"):
+            check_mra(omega(2, 0, 1), tol=tol)
+
+    def test_prime_above_the_maximum_is_refused(self):
+        with pytest.raises(PreconditionError):
+            refinable_from_mask(haar_mask(19), 0)
+        with pytest.raises(PreconditionError):
+            check_mra(omega(19, 0, 0))
 
 
 class TestSupportDecision:
@@ -146,11 +174,11 @@ class TestSupportDecision:
 class TestRefinementOperator:
     def test_haar_fixed_point(self):
         phi = refinable_from_mask(haar_mask(2), 0)
-        g = apply_refinement(haar_mask(2), phi)
+        g = oracle_apply_refinement(haar_mask(2), phi)
         assert allclose(g, phi, tol=1e-12)
 
     def test_quartic_fixed_point(self, quartic_mask, quartic_phi):
-        g = apply_refinement(quartic_mask, quartic_phi)
+        g = oracle_apply_refinement(quartic_mask, quartic_phi)
         assert allclose(g, quartic_phi, tol=1e-12)
 
     def test_time_and_fourier_routes_agree(self, rng):
@@ -158,14 +186,14 @@ class TestRefinementOperator:
             p = int(rng.choice([2, 3]))
             m = random_covering_mask(rng, p, 1, 1)
             phi = refinable_from_mask(m, 1)
-            a = apply_refinement(m, phi)
-            b = apply_refinement_fourier(m, phi)
+            a = oracle_apply_refinement(m, phi)
+            b = oracle_apply_refinement_fourier(m, phi)
             assert allclose(a, b, tol=1e-9)
 
     def test_non_fixed_function_moves(self):
         # the indicator of 2Z_2 is not refinable under the Haar mask
         f = TestFunction(2, 1, 1, np.array([1.0, 0, 0, 0], dtype=np.complex128))
-        g = apply_refinement(haar_mask(2), f)
+        g = oracle_apply_refinement(haar_mask(2), f)
         assert not allclose(g, reframe(f, 2, 2), tol=1e-3)
 
 

@@ -118,7 +118,6 @@ class TestCheckMra:
         assert report.refinable
         assert report.criterion_ok
         assert report.axiom_a_ok
-        assert report.axiom_b_ok
         assert report.orthonormality.verdict
         assert report.haar_equivalent is True
 
@@ -185,11 +184,6 @@ class TestCheckMra:
         # solves never run: the only solve is the window block
         assert report.haar_equivalent is None
         assert len(calls) == 1
-
-    def test_axiom_b_witnesses_cover_the_range(self):
-        report = check_mra(omega(2, 0, 1))
-        lo, hi = report.config.sphere_range
-        assert set(report.axiom_b_witnesses) == set(range(lo, hi + 1))
 
 
 class TestOrthonormality:

@@ -1,4 +1,4 @@
-"""Wavelet masks and functions, resultants, frame bounds, the transform."""
+"""Wavelet masks and functions, frame bounds, the transform."""
 
 from __future__ import annotations
 
@@ -18,20 +18,26 @@ from padic_mra import (
     mask_from_roots,
     norm_l2,
     refinable_from_mask,
-    resultant,
     shift,
     synthesize,
     verify_wavelet_set,
     wavelet_masks,
 )
-from conftest import oracle_v0_residual
+from conftest import oracle_level_matrix, oracle_v0_residual
 from padic_mra.errors import (
     PreconditionError,
     UnsupportedConfigurationError,
     VerificationError,
 )
 from padic_mra.generators import random_covering_mask, random_function
-from padic_mra.wavelets import WaveletSet, _v0_orthogonality_residual, wavelet_functions
+from padic_mra.wavelets import (
+    WaveletSet,
+    _v0_orthogonality_residual,
+    _v_matrix,
+    _w_matrix,
+    _working_frame,
+    wavelet_functions,
+)
 from padic_mra.padic_core import PadicRational
 
 
@@ -142,47 +148,6 @@ class TestWaveletFunctions:
                 assert got == pytest.approx(want, rel=1e-12)
 
 
-class TestResultant:
-    def test_haar_pairs(self, haar2, haar3):
-        assert resultant(haar_mask(2).taps, haar2.masks[0].taps) == pytest.approx(
-            4.0
-        )
-        r3 = verify_wavelet_set(haar3).resultant
-        assert r3 == pytest.approx(27.0)
-
-    def test_quartic_modulus(self, quartic_ws):
-        assert abs(verify_wavelet_set(quartic_ws).resultant) == pytest.approx(
-            512.0, rel=1e-9
-        )
-
-    def test_degenerate_sizes(self):
-        assert resultant(np.array([2.0]), np.array([3.0, 1.0])) == pytest.approx(2.0)
-        assert resultant(np.array([0.0]), np.array([1.0, 1.0])) == 0j
-
-    def test_common_root_kills_it(self):
-        # both vanish at z = 1
-        h = np.array([-1.0, 1.0])
-        g = np.array([-1.0, 0.0, 1.0])
-        assert abs(resultant(h, g)) < 1e-12
-
-    def test_matches_root_product_oracle(self, rng):
-        for _ in range(20):
-            h = rng.normal(size=3) + 1j * rng.normal(size=3)
-            g = rng.normal(size=4) + 1j * rng.normal(size=4)
-            # |res| = |lc(h)|^deg g * prod |g(alpha_i)| over roots of h
-            alphas = np.roots(h[::-1])
-            oracle = abs(h[-1]) ** (len(g) - 1) * np.prod(
-                [abs(np.polyval(g[::-1], a)) for a in alphas]
-            )
-            assert abs(resultant(h, g)) == pytest.approx(oracle, rel=1e-8)
-
-    def test_trailing_zeros_do_not_change_it(self):
-        h = np.array([1.0, 1.0])
-        g = np.array([-2.0, 2.0])
-        padded = np.array([-2.0, 2.0, 0.0, 0.0])
-        assert resultant(h, padded) == resultant(h, g)
-
-
 class TestFrameBounds:
     def test_haar2_is_tight(self, haar2):
         rep = frame_bounds(haar2)
@@ -275,6 +240,21 @@ class TestTransform:
         f = random_function(rng, 2, 3, 2)  # finer than the j1 = 1 window
         tree = analyze(f, haar2, j0=0, j1=1)
         assert tree.input_residual > 1e-3
+
+    @pytest.mark.parametrize("case", ["haar2", "haar3", "quartic_ws"])
+    def test_level_matrices_match_per_column_oracle(self, case, request, rng):
+        ws = request.getfixturevalue(case)
+        for j1 in range(5):
+            f = random_function(rng, ws.prime, ws.support_exp, ws.period_exp)
+            frame = _working_frame(ws, f, j1)
+            N = ws.support_exp
+            for j in range(j1 + 1):
+                assert np.array_equal(
+                    _v_matrix(ws, j, frame), oracle_level_matrix([ws.phi], N, j, frame)
+                )
+                assert np.array_equal(
+                    _w_matrix(ws, j, frame), oracle_level_matrix(ws.wavelets, N, j, frame)
+                )
 
     def test_rejects_bad_level_order(self, haar2, rng):
         f = random_function(rng, 2, 1, 1)
