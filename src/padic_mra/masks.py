@@ -59,6 +59,8 @@ class TrigPolynomial:
         c = np.asarray(self.coeffs, dtype=np.complex128).reshape(-1)
         if c.shape[0] == 0:
             raise ValueError("a trigonometric polynomial needs at least one term")
+        if not np.isfinite(c).all():
+            raise PreconditionError("mask coefficients must be finite")
         c.setflags(write=False)
         self.coeffs = c
 

@@ -318,6 +318,7 @@ def check_orthonormal_shifts(
 ) -> OrthonormalityReport:
     N, M = _require_frame(phi)
     p = phi.prime
+    check_limits(p, N + M, tol)
     n = p ** (N + M)
     hat = fourier(phi)
     power = np.abs(hat.values) ** 2

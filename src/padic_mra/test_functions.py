@@ -68,6 +68,8 @@ class TestFunction:
                 f"expected {n} values for frame "
                 f"({self.support_exp}, {self.period_exp}), got {vals.shape[0]}"
             )
+        if not np.isfinite(vals).all():
+            raise PreconditionError("function values must be finite")
         vals.setflags(write=False)
         self.values = vals
 

@@ -21,7 +21,13 @@ constant.
 
 Frame quality is read off the Gram matrix of the translate system: on the
 span, sum_i |<f, g_i>|^2 sits between A and B times ||f||^2 exactly when A
-and B are the extreme nonzero Gram eigenvalues.
+and B are the extreme nonzero Gram eigenvalues. The inclusion test and the
+Gram are solved on the support rows, not on the grid: a roll by k of a
+vector of n = p^(N+M+1) values is the phase exp(-2 pi i l k / n) on its DFT
+bin l, and only the bins where phi(x/p), phi or some wavelet has a
+transform above rounding are kept, p #L of them for a valid set. The DFT
+is unitary up to sqrt(n) and every dropped row is rounding noise in every
+column, so the solve and the spectrum are those of the full grid.
 
 A translate by k/p^(N+j) before the dilation by p^-j is one by k/p^N
 after it, so each level matrix of the multilevel transform is one index
@@ -31,10 +37,11 @@ gather of a single dilated generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, check_limits
 from .errors import PreconditionError, UnsupportedConfigurationError, VerificationError
 from .masks import TrigPolynomial, haar_mask
 from .mra import LSet, _mutual_span_residual, _roll_columns, l_set
@@ -249,6 +256,8 @@ def build_wavelet_set(
     m0: TrigPolynomial,
     tol: float = DEFAULT_TOL,
 ) -> WaveletSet:
+    """Wavelet masks and verified wavelets for phi, on the frame (N, M+1)."""
+    check_limits(phi.prime, phi.support_exp + phi.period_exp + 1, tol)
     masks = wavelet_masks(phi, m0, tol)
     psis = wavelet_functions(phi, masks, tol)
     return WaveletSet(phi, m0, psis, masks, tol)
@@ -272,18 +281,84 @@ class WaveletVerification:
         )
 
 
-def verify_wavelet_set(ws: WaveletSet, tol: float | None = None) -> WaveletVerification:
+class SupportRows(NamedTuple):
+    """The level-0 generators' DFTs on the bins where they live.
+
+    bins are the kept DFT bins l of the frame (N, M+1), out of n = p^(N+M+1);
+    phases[i, k] = exp(-2 pi i bins[i] k / n) is a roll by k, k < p^(N+1);
+    spectra holds on those bins the DFT of phi on that frame (column 0),
+    of each wavelet, and of phi(x/p) (last column).
+    """
+
+    n: int
+    bins: np.ndarray
+    phases: np.ndarray
+    spectra: np.ndarray
+
+
+def _support_rows(ws: WaveletSet) -> SupportRows:
+    """Spectra of phi, the wavelets and phi(x/p) on their joint support.
+
+    A bin is kept when some generator's DFT there exceeds n eps times that
+    generator's own largest bin; everything below is rounding noise of the
+    FFT. The floor is relative to each generator, so rescaling phi and the
+    wavelets by any constant keeps the same bins. For a valid set the
+    support is that of phi(x/p): p #L bins.
+    """
+    p, N, M = ws.prime, ws.support_exp, ws.period_exp
+    gens = [reframe(ws.phi, N, M + 1), *ws.wavelets, reframe(dilate(ws.phi, -1), N, M + 1)]
+    spectra = np.fft.fft(np.column_stack([g.values for g in gens]), axis=0)
+    n = spectra.shape[0]
+    mags = np.abs(spectra)
+    floor = n * np.finfo(float).eps * np.max(mags, axis=0)
+    bins = np.nonzero(np.any(mags > floor, axis=1))[0]
+    k = np.arange(p ** (N + 1))
+    phases = np.exp(-2j * np.pi * ((bins[:, None] * k[None, :]) % n) / n)
+    return SupportRows(n, bins, phases, spectra[bins])
+
+
+def _translates(spectra: np.ndarray, phases: np.ndarray, count: int) -> np.ndarray:
+    """Columns spectra[:, i] * phases[:, k], k < count, generator by generator."""
+    rows = spectra.shape[0]
+    return (spectra[:, :, None] * phases[:, None, :count]).reshape(rows, -1)
+
+
+def _inclusion_residual(ws: WaveletSet, rows: SupportRows) -> float:
+    """Relative sup residual of phi(x/p - a) through the level-0 translates.
+
+    The space-domain residual is the inverse DFT of the kept-bin residual.
+    """
+    gens = rows.spectra[:, :-1]
+    norms = np.linalg.norm(gens, axis=0)
+    gens = gens / np.where(norms > 0, norms, 1.0)
+    span = _translates(gens, rows.phases, ws.prime**ws.support_exp)
+    targets = rows.spectra[:, -1:] * rows.phases
+    sol, _, _, _ = np.linalg.lstsq(span, targets, rcond=None)
+    misfit = np.zeros((targets.shape[1], rows.n), dtype=np.complex128)
+    misfit[:, rows.bins] = (span @ sol - targets).T
+    residual = float(np.max(np.abs(np.fft.ifft(misfit)), initial=0.0))
+    return _relative(residual, float(np.max(np.abs(ws.phi.values), initial=0.0)))
+
+
+def verify_wavelet_set(
+    ws: WaveletSet, tol: float | None = None, rows: SupportRows | None = None
+) -> WaveletVerification:
     """Re-check a set from scratch: orthogonality, factorization, inclusion.
 
     Inclusion: every refined generator phi(x/p - a), a in I_p with
     |a|_p <= p^(N+1), must be expressible through the translates of phi and
-    of the wavelets by I_p points of norm at most p^N. The span columns are
-    scaled to unit norm before the solve, so that lstsq's rank cut does not
-    drop the phi columns beside much larger wavelet columns, and the
-    residual is relative to the largest target value.
+    of the wavelets by I_p points of norm at most p^N. The system is solved
+    on the support rows, the DFT bins where some generator lives (p #L of
+    them for a valid set), each translate a phase times its generator's
+    spectrum. The span columns are scaled to unit norm before the solve, so
+    that lstsq's rank cut does not drop the phi columns beside much larger
+    wavelet columns, and the residual is the space-domain sup residual
+    relative to the largest target value. rows, when given, are the
+    support rows of ws, which frame_bounds computes once for both checks.
     """
     tol = ws.tol if tol is None else tol
-    p, N, M = ws.prime, ws.support_exp, ws.period_exp
+    check_limits(ws.prime, ws.support_exp + ws.period_exp + 1, tol)
+    rows = _support_rows(ws) if rows is None else rows
     phat = fourier(ws.phi)
 
     v0 = 0.0
@@ -291,19 +366,7 @@ def verify_wavelet_set(ws: WaveletSet, tol: float | None = None) -> WaveletVerif
     for mk, psi in zip(ws.masks, ws.wavelets):
         f, o = _wavelet_residuals(ws.phi, phat, mk, psi)
         fact, v0 = max(fact, f), max(v0, o)
-
-    f0 = reframe(ws.phi, N, M + 1)
-    span = _translate_matrix([f0, *ws.wavelets], p**N)
-    norms = np.linalg.norm(span, axis=0)
-    span = span / np.where(norms > 0, norms, 1.0)
-    g = reframe(dilate(ws.phi, -1), N, M + 1)
-    targets = _roll_columns(g.values, p ** (N + 1))
-    sol, _, _, _ = np.linalg.lstsq(span, targets, rcond=None)
-    incl = _relative(
-        float(np.max(np.abs(span @ sol - targets), initial=0.0)),
-        float(np.max(np.abs(targets), initial=0.0)),
-    )
-    return WaveletVerification(tol, v0, fact, incl)
+    return WaveletVerification(tol, v0, fact, _inclusion_residual(ws, rows))
 
 
 # --------------------------------------------------------------------------
@@ -333,25 +396,28 @@ class FrameReport:
         )
 
 
-def _translate_matrix(funcs: list[TestFunction], count: int, step: int = 1) -> np.ndarray:
-    return np.hstack([_roll_columns(f.values, count, step) for f in funcs])
-
-
 def frame_bounds(ws: WaveletSet, tol: float | None = None) -> FrameReport:
     """Extreme nonzero Gram eigenvalues of {psi_nu(. - k/p^N)}.
 
     On the span of the system these are exactly the best frame constants:
     with G the Gram matrix and f = sum c_i g_i, sum_i |<f, g_i>|^2 = ||G c||^2
     falls between A c* G c and B c* G c. Eigenvalues below a relative floor
-    count as zero (redundant systems are frames of their span).
+    count as zero (redundant systems are frames of their span). By Parseval
+    the Gram is read on the same support bins as the inclusion test of
+    verify_wavelet_set, which are computed once for both.
     """
     tol = ws.tol if tol is None else tol
     p, N, M = ws.prime, ws.support_exp, ws.period_exp
-    verification = verify_wavelet_set(ws, tol)
-    a = _translate_matrix(ws.wavelets, p**N)
-    gram = float(p) ** (-(M + 1)) * (a.conj().T @ a)
-    spectrum = np.linalg.eigvalsh(gram)
-    lam_max = float(spectrum[-1])
+    check_limits(p, N + M + 1, tol)
+    rows = _support_rows(ws)
+    verification = verify_wavelet_set(ws, tol, rows)
+    # The Gram p^-(M+1) a* a / n of the kept-bin translates a has the
+    # squared singular values of a as its nonzero eigenvalues.
+    a = _translates(rows.spectra[:, 1:-1], rows.phases, p**N)
+    sv = np.linalg.svd(a, compute_uv=False)
+    power = np.concatenate([sv**2, np.zeros(a.shape[1] - sv.size)])
+    spectrum = np.sort(power) * float(p) ** (-(M + 1)) / rows.n
+    lam_max = float(spectrum[-1]) if spectrum.size else 0.0
     if lam_max <= 0:
         raise PreconditionError("degenerate wavelet set: Gram matrix is zero")
     floor = _RANK_REL * lam_max
@@ -440,6 +506,10 @@ class CoefficientTree:
     tol: float
 
 
+def _translate_matrix(funcs: list[TestFunction], count: int, step: int = 1) -> np.ndarray:
+    return np.hstack([_roll_columns(f.values, count, step) for f in funcs])
+
+
 def _level_matrix(
     funcs: list[TestFunction], N: int, j: int, frame: tuple[int, int]
 ) -> np.ndarray:
@@ -486,8 +556,9 @@ def analyze(
     if not 0 <= j0 <= j1:
         raise PreconditionError(f"need 0 <= j0 <= j1, got ({j0}, {j1})")
     frame = _working_frame(ws, f, j1)
-    target = reframe(f, *frame).values
     tol = ws.tol
+    check_limits(ws.prime, sum(frame), tol)
+    target = reframe(f, *frame).values
 
     v_top = _v_matrix(ws, j1, frame)
     c, _, _, _ = np.linalg.lstsq(v_top, target, rcond=None)

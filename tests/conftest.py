@@ -6,8 +6,10 @@ Gram and V_0 scans as one roll and inner product per offset,
 inner products as measure-weighted sums of point evaluations on a finer
 grid, polynomial products by schoolbook convolution, the depth product
 one point at a time, one refinement step by a tap-weighted sum of rolls or
-on the transform side, and the transform's level matrices column by
-column through shift, dilate and reframe. Frozen expected
+on the transform side, the transform's level matrices column by
+column through shift, dilate and reframe, and the wavelet inclusion test
+and frame Gram on the full refined grid, one rolled column at a time.
+Frozen expected
 values in the test modules were produced by these oracles, not by the
 code under test.
 """
@@ -156,6 +158,34 @@ def oracle_level_matrix(
             g = dilate(shift(f, PadicRational(p, k, N + j)), -j, normalized=True)
             cols.append(reframe(g, *frame).values)
     return np.column_stack(cols)
+
+
+def _oracle_translates(funcs: list[TestFunction], count: int) -> np.ndarray:
+    return np.column_stack([np.roll(f.values, k) for f in funcs for k in range(count)])
+
+
+def oracle_inclusion_residual(ws) -> float:
+    """Inclusion residual solved in the space domain on all p^(N+M+1) rows.
+
+    Targets phi(x/p - k/p^(N+1)), k < p^(N+1), against the unit-norm
+    translates phi(. - k/p^N) and psi_nu(. - k/p^N), k < p^N; the sup
+    residual is relative to max |phi|.
+    """
+    p, N, M = ws.prime, ws.support_exp, ws.period_exp
+    span = _oracle_translates([reframe(ws.phi, N, M + 1), *ws.wavelets], p**N)
+    norms = np.linalg.norm(span, axis=0)
+    span = span / np.where(norms > 0, norms, 1.0)
+    targets = _oracle_translates([reframe(dilate(ws.phi, -1), N, M + 1)], p ** (N + 1))
+    sol, _, _, _ = np.linalg.lstsq(span, targets, rcond=None)
+    residual = np.max(np.abs(span @ sol - targets))
+    return float(residual / np.max(np.abs(targets)))
+
+
+def oracle_wavelet_gram(ws) -> np.ndarray:
+    """Gram p^-(M+1) a* a of the wavelet translates on all p^(N+M+1) rows."""
+    p, N, M = ws.prime, ws.support_exp, ws.period_exp
+    a = _oracle_translates(ws.wavelets, p**N)
+    return float(p) ** (-(M + 1)) * (a.conj().T @ a)
 
 
 QUARTIC_ZEROS = [

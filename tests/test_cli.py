@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from padic_mra import serialize
+from padic_mra import TestFunction, TrigPolynomial, haar_mask, omega, serialize
 from padic_mra.cli import main
 from padic_mra.generators import random_function
+from padic_mra.wavelets import WaveletSet
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -65,6 +66,72 @@ class TestArgumentLimits:
         with pytest.raises(SystemExit) as exc:
             main(["kozyrev", "--p", "19"])
         assert exc.value.code == 2
+
+
+class TestInputFiles:
+    """Files the library refuses on load or before it builds a grid: exit 2."""
+
+    @pytest.fixture(scope="class")
+    def p19(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("p19")
+        chars = np.exp(2j * np.pi * np.arange(19) / 19)
+        ws = WaveletSet(
+            omega(19, 0, 0),
+            haar_mask(19),
+            [TestFunction(19, 0, 1, chars)],
+            [TrigPolynomial.from_taps(19, chars, scale=0)],
+        )
+        docs = {
+            "phi.json": serialize.function_to_json(omega(19, 0, 1)),
+            "mask.json": serialize.mask_to_json(haar_mask(19)),
+            "ws.json": serialize.wavelet_set_to_json(ws),
+            "f.json": serialize.function_to_json(omega(19, 0, 1)),
+        }
+        for name, doc in docs.items():
+            (d / name).write_text(json.dumps(doc))
+        return d
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ortho", "--phi", "phi.json"],
+            ["wavelets", "--phi", "phi.json", "--mask", "mask.json"],
+            ["frame", "--ws", "ws.json"],
+            ["transform", "--f", "f.json", "--ws", "ws.json"],
+        ],
+    )
+    def test_prime_above_the_maximum_is_refused(self, p19, capsys, argv):
+        args = [str(p19 / a) if a.endswith(".json") else a for a in argv]
+        assert main(args) == 2
+        assert "exceeds the supported maximum" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def nan_files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("nan")
+        main(["haar", "--p", "2", "--M", "1", "--out", str(d / "haar.json")])
+        doc = json.loads((d / "haar.json").read_text())
+        doc["phi"]["values"][1][0] = float("nan")
+        doc["wavelet_set"]["wavelets"][0]["values"][1][0] = float("nan")
+        (d / "phi.json").write_text(json.dumps(doc["phi"]))
+        (d / "ws.json").write_text(json.dumps(doc["wavelet_set"]))
+        return d
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--phi", "phi.json"],
+            ["ortho", "--phi", "phi.json"],
+            ["frame", "--ws", "ws.json"],
+        ],
+    )
+    def test_non_finite_values_are_refused(self, nan_files, capfd, argv):
+        args = [str(nan_files / a) if a.endswith(".json") else a for a in argv]
+        assert main(args) == 2
+        # capfd also sees what LAPACK writes to the file descriptors directly
+        out, err = capfd.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "finite" in err
 
 
 class TestMaskPipeline:

@@ -39,6 +39,11 @@ class TestTrigPolynomial:
         assert np.allclose(m.coeffs, [1 / 3, 1 / 3, 1 / 3])
         assert np.allclose(m.taps, [1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, -np.inf)])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(PreconditionError, match="finite"):
+            TrigPolynomial(2, np.array([0.5, bad]), scale=0)
+
     def test_degree_ignores_trailing_zeros(self):
         m = TrigPolynomial(2, np.array([0.5, 0.5, 0.0, 0.0]), scale=0)
         assert m.degree == 1

@@ -24,6 +24,7 @@ from padic_mra import (
     shift,
     zero_function,
 )
+from padic_mra.errors import PreconditionError
 from padic_mra.padic_core import PadicRational, character
 
 
@@ -58,6 +59,11 @@ class TestConstruction:
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             TestFunction(2, 1, 1, np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(PreconditionError, match="finite"):
+            TestFunction(2, 1, 0, np.array([1.0, bad]))
 
     def test_values_are_read_only(self):
         f = omega(2)

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from padic_mra import (
+    TestFunction,
     TrigPolynomial,
     allclose,
     analyze,
     build_wavelet_set,
+    check_orthonormal_shifts,
+    dilate,
     frame_bounds,
     haar_mask,
     inner_product,
@@ -18,18 +21,26 @@ from padic_mra import (
     mask_from_roots,
     norm_l2,
     refinable_from_mask,
+    reframe,
     shift,
     synthesize,
     verify_wavelet_set,
     wavelet_masks,
 )
-from conftest import oracle_level_matrix, oracle_v0_residual
+from conftest import (
+    oracle_inclusion_residual,
+    oracle_level_matrix,
+    oracle_v0_residual,
+    oracle_wavelet_gram,
+)
+from padic_mra.config import DEFAULT_TOL, GRID_CAP_ENV
 from padic_mra.errors import (
     PreconditionError,
     UnsupportedConfigurationError,
     VerificationError,
 )
 from padic_mra.generators import random_covering_mask, random_function
+from padic_mra import wavelets
 from padic_mra.wavelets import (
     WaveletSet,
     _v0_orthogonality_residual,
@@ -185,6 +196,147 @@ class TestFrameBounds:
             q = norm_l2(f) ** 2
             slack = 1e-8 * max(q, 1.0)
             assert rep.A * q - slack <= energy <= rep.B * q + slack
+
+
+def _covering_sets(p, N, seed, draws):
+    """Wavelet sets of seeded covering masks at M = 1; refusals are left out."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(draws):
+        mask = random_covering_mask(rng, p, N, 1)
+        try:
+            out.append(build_wavelet_set(refinable_from_mask(mask, 1), mask))
+        except (UnsupportedConfigurationError, VerificationError):
+            pass
+    return out
+
+
+def _scaled(ws, c):
+    return WaveletSet(
+        TestFunction(ws.prime, *ws.phi.frame, c * ws.phi.values),
+        ws.scaling_mask,
+        [TestFunction(ws.prime, *psi.frame, c * psi.values) for psi in ws.wavelets],
+        ws.masks,
+        ws.tol,
+    )
+
+
+class TestSupportRows:
+    """Inclusion and Gram on the Fourier support against the full-grid oracles."""
+
+    @pytest.mark.parametrize(
+        "p, N", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 1), (5, 2)]
+    )
+    def test_inclusion_verdict_matches_full_grid_oracle(self, p, N):
+        compared = 0
+        for ws in _covering_sets(p, N, seed=100 * p + N, draws=4):
+            want = oracle_inclusion_residual(ws)
+            if DEFAULT_TOL / 100 < want < 100 * DEFAULT_TOL:
+                continue  # too close to tol for either route to be the authority
+            got = verify_wavelet_set(ws).inclusion_residual
+            assert (got <= DEFAULT_TOL) == (want <= DEFAULT_TOL), (got, want)
+            compared += 1
+        assert compared > 0
+
+    @pytest.mark.parametrize(
+        "case",
+        ["quartic-1", "quartic-3", "quartic-5", "haar-2", "haar-3", "haar-5",
+         "kozyrev-2", "kozyrev-3", "kozyrev-5"],
+    )
+    def test_frame_constants_match_full_grid_gram(self, case, quartic_mask):
+        family, k = case.split("-")
+        k = int(k)
+        if family == "quartic":
+            ws = build_wavelet_set(refinable_from_mask(quartic_mask, k), quartic_mask)
+        elif family == "haar":
+            ws = build_wavelet_set(refinable_from_mask(haar_mask(k), 0), haar_mask(k))
+        else:
+            ws = kozyrev_set(k)
+        rep = frame_bounds(ws)
+        spectrum = np.linalg.eigvalsh(oracle_wavelet_gram(ws))
+        B = spectrum[-1]
+        A = spectrum[spectrum > 1e-9 * B][0]
+        assert rep.B == pytest.approx(B, rel=1e-10)
+        assert rep.A == pytest.approx(A, rel=1e-10)
+        assert rep.spectrum.shape == spectrum.shape
+        assert np.max(np.abs(rep.spectrum - spectrum)) <= 1e-10 * B
+
+    @pytest.mark.parametrize("N", [3, 4, 5])
+    def test_dropped_wavelet_fails_inclusion(self, quartic_ws, N):
+        sets = [quartic_ws, *_covering_sets(2, N, seed=N, draws=3)]
+        assert any(verify_wavelet_set(ws).ok for ws in sets)
+        for ws in sets:
+            dropped = WaveletSet(ws.phi, ws.scaling_mask, [], [], ws.tol)
+            assert verify_wavelet_set(dropped).inclusion_residual >= 0.1
+
+    def test_component_off_the_support_is_rejected(self, quartic_ws):
+        ws = quartic_ws
+        psi = ws.wavelets[0]
+        g = reframe(dilate(ws.phi, -1), ws.support_exp, ws.period_exp + 1)
+        off = np.nonzero(np.abs(np.fft.fft(g.values)) < 1e-9)[0]
+        assert off.size > 0
+        # a pure character on the grid: one DFT bin, outside supp phi-hat(p .)
+        wave = np.exp(2j * np.pi * off[-1] * np.arange(psi.n) / psi.n)
+        bent = psi.values + 0.1 * np.max(np.abs(psi.values)) * wave
+        bent_ws = WaveletSet(
+            ws.phi, ws.scaling_mask, [TestFunction(2, *psi.frame, bent)], ws.masks, ws.tol
+        )
+        rep = verify_wavelet_set(bent_ws)
+        assert not rep.ok
+        assert rep.inclusion_residual > DEFAULT_TOL
+
+    @pytest.mark.parametrize("c", [1e-10, 1e10])
+    def test_verdict_is_scale_free(self, quartic_ws, c):
+        sets = [
+            quartic_ws,
+            *_covering_sets(2, 5, seed=5, draws=3),
+            *_covering_sets(3, 3, seed=3, draws=3),
+        ]
+        verdicts = [verify_wavelet_set(ws).ok for ws in sets]
+        assert True in verdicts and False in verdicts
+        for ws, ok in zip(sets, verdicts):
+            assert verify_wavelet_set(_scaled(ws, c)).ok == ok
+
+    def test_lstsq_sees_only_support_rows(self, quartic_ws, haar3, monkeypatch):
+        sets = [
+            quartic_ws,
+            haar3,
+            *_covering_sets(2, 5, seed=5, draws=3),
+            *_covering_sets(3, 2, seed=2, draws=3),
+            *_covering_sets(5, 2, seed=2, draws=3),
+        ]
+        seen = []
+        real = np.linalg.lstsq
+
+        def spy(a, b, rcond=None):
+            seen.append(a.shape[0])
+            return real(a, b, rcond=rcond)
+
+        monkeypatch.setattr(wavelets.np.linalg, "lstsq", spy)
+        for ws in sets:
+            seen.clear()
+            frame_bounds(ws)
+            assert seen and max(seen) <= ws.prime ** (ws.support_exp + 1)
+
+    def test_every_grid_builder_applies_the_cap(
+        self, quartic_phi, quartic_mask, quartic_ws, monkeypatch, rng
+    ):
+        # phi lives on 2^3 points, its wavelets on the refined frame's 2^4
+        monkeypatch.setenv(GRID_CAP_ENV, "8")
+        check_orthonormal_shifts(quartic_phi)
+        monkeypatch.setenv(GRID_CAP_ENV, "4")
+        with pytest.raises(PreconditionError, match="grid cap"):
+            check_orthonormal_shifts(quartic_phi)
+        monkeypatch.setenv(GRID_CAP_ENV, "8")
+        f = random_function(rng, 2, 2, 1)
+        for call in (
+            lambda: build_wavelet_set(quartic_phi, quartic_mask),
+            lambda: verify_wavelet_set(quartic_ws),
+            lambda: frame_bounds(quartic_ws),
+            lambda: analyze(f, quartic_ws),
+        ):
+            with pytest.raises(PreconditionError, match="grid cap"):
+                call()
 
 
 class TestKozyrev:
