@@ -27,7 +27,9 @@ vector of n = p^(N+M+1) values is the phase exp(-2 pi i l k / n) on its DFT
 bin l, and only the bins where phi(x/p), phi or some wavelet has a
 transform above rounding are kept, p #L of them for a valid set. The DFT
 is unitary up to sqrt(n) and every dropped row is rounding noise in every
-column, so the solve and the spectrum are those of the full grid.
+column, so in exact arithmetic the solve and the spectrum are those of the
+full grid, and the solve keeps the full grid's rank cut. Their rounding
+differs, which can move a residual that sits at tol across it.
 
 A translate by k/p^(N+j) before the dilation by p^-j is one by k/p^N
 after it, so each level matrix of the multilevel transform is one index
@@ -281,7 +283,7 @@ class WaveletVerification:
         )
 
 
-class SupportRows(NamedTuple):
+class _SupportRows(NamedTuple):
     """The level-0 generators' DFTs on the bins where they live.
 
     bins are the kept DFT bins l of the frame (N, M+1), out of n = p^(N+M+1);
@@ -296,7 +298,7 @@ class SupportRows(NamedTuple):
     spectra: np.ndarray
 
 
-def _support_rows(ws: WaveletSet) -> SupportRows:
+def _support_rows(ws: WaveletSet) -> _SupportRows:
     """Spectra of phi, the wavelets and phi(x/p) on their joint support.
 
     A bin is kept when some generator's DFT there exceeds n eps times that
@@ -314,7 +316,7 @@ def _support_rows(ws: WaveletSet) -> SupportRows:
     bins = np.nonzero(np.any(mags > floor, axis=1))[0]
     k = np.arange(p ** (N + 1))
     phases = np.exp(-2j * np.pi * ((bins[:, None] * k[None, :]) % n) / n)
-    return SupportRows(n, bins, phases, spectra[bins])
+    return _SupportRows(n, bins, phases, spectra[bins])
 
 
 def _translates(spectra: np.ndarray, phases: np.ndarray, count: int) -> np.ndarray:
@@ -323,26 +325,40 @@ def _translates(spectra: np.ndarray, phases: np.ndarray, count: int) -> np.ndarr
     return (spectra[:, :, None] * phases[:, None, :count]).reshape(rows, -1)
 
 
-def _inclusion_residual(ws: WaveletSet, rows: SupportRows) -> float:
+def _inclusion_residual(ws: WaveletSet, rows: _SupportRows) -> float:
     """Relative sup residual of phi(x/p - a) through the level-0 translates.
 
-    The space-domain residual is the inverse DFT of the kept-bin residual.
+    lstsq's rank cut is the one it takes on the full grid, eps max(n,
+    columns) times the largest singular value, not eps max(rows, columns):
+    the support has fewer rows, and a lower cut would keep directions that
+    the full-grid solve treats as noise. The space-domain residual is the
+    inverse DFT of the kept-bin residual.
     """
     gens = rows.spectra[:, :-1]
     norms = np.linalg.norm(gens, axis=0)
     gens = gens / np.where(norms > 0, norms, 1.0)
     span = _translates(gens, rows.phases, ws.prime**ws.support_exp)
     targets = rows.spectra[:, -1:] * rows.phases
-    sol, _, _, _ = np.linalg.lstsq(span, targets, rcond=None)
+    rcond = np.finfo(float).eps * max(rows.n, span.shape[1])
+    sol, _, _, _ = np.linalg.lstsq(span, targets, rcond=rcond)
     misfit = np.zeros((targets.shape[1], rows.n), dtype=np.complex128)
     misfit[:, rows.bins] = (span @ sol - targets).T
     residual = float(np.max(np.abs(np.fft.ifft(misfit)), initial=0.0))
     return _relative(residual, float(np.max(np.abs(ws.phi.values), initial=0.0)))
 
 
-def verify_wavelet_set(
-    ws: WaveletSet, tol: float | None = None, rows: SupportRows | None = None
-) -> WaveletVerification:
+def _verify(ws: WaveletSet, tol: float, rows: _SupportRows) -> WaveletVerification:
+    """verify_wavelet_set on the support rows of ws, which frame_bounds shares."""
+    phat = fourier(ws.phi)
+    v0 = 0.0
+    fact = 0.0
+    for mk, psi in zip(ws.masks, ws.wavelets):
+        f, o = _wavelet_residuals(ws.phi, phat, mk, psi)
+        fact, v0 = max(fact, f), max(v0, o)
+    return WaveletVerification(tol, v0, fact, _inclusion_residual(ws, rows))
+
+
+def verify_wavelet_set(ws: WaveletSet, tol: float | None = None) -> WaveletVerification:
     """Re-check a set from scratch: orthogonality, factorization, inclusion.
 
     Inclusion: every refined generator phi(x/p - a), a in I_p with
@@ -353,20 +369,11 @@ def verify_wavelet_set(
     spectrum. The span columns are scaled to unit norm before the solve, so
     that lstsq's rank cut does not drop the phi columns beside much larger
     wavelet columns, and the residual is the space-domain sup residual
-    relative to the largest target value. rows, when given, are the
-    support rows of ws, which frame_bounds computes once for both checks.
+    relative to the largest target value.
     """
     tol = ws.tol if tol is None else tol
     check_limits(ws.prime, ws.support_exp + ws.period_exp + 1, tol)
-    rows = _support_rows(ws) if rows is None else rows
-    phat = fourier(ws.phi)
-
-    v0 = 0.0
-    fact = 0.0
-    for mk, psi in zip(ws.masks, ws.wavelets):
-        f, o = _wavelet_residuals(ws.phi, phat, mk, psi)
-        fact, v0 = max(fact, f), max(v0, o)
-    return WaveletVerification(tol, v0, fact, _inclusion_residual(ws, rows))
+    return _verify(ws, tol, _support_rows(ws))
 
 
 # --------------------------------------------------------------------------
@@ -410,7 +417,7 @@ def frame_bounds(ws: WaveletSet, tol: float | None = None) -> FrameReport:
     p, N, M = ws.prime, ws.support_exp, ws.period_exp
     check_limits(p, N + M + 1, tol)
     rows = _support_rows(ws)
-    verification = verify_wavelet_set(ws, tol, rows)
+    verification = _verify(ws, tol, rows)
     # The Gram p^-(M+1) a* a / n of the kept-bin translates a has the
     # squared singular values of a as its nonzero eigenvalues.
     a = _translates(rows.spectra[:, 1:-1], rows.phases, p**N)

@@ -309,14 +309,17 @@ class TestSupportRows:
         real = np.linalg.lstsq
 
         def spy(a, b, rcond=None):
-            seen.append(a.shape[0])
+            seen.append((a.shape[0], rcond))
             return real(a, b, rcond=rcond)
 
         monkeypatch.setattr(wavelets.np.linalg, "lstsq", spy)
         for ws in sets:
             seen.clear()
             frame_bounds(ws)
-            assert seen and max(seen) <= ws.prime ** (ws.support_exp + 1)
+            assert seen and max(r for r, _ in seen) <= ws.prime ** (ws.support_exp + 1)
+            # the rank cut is no lower than the one lstsq takes on all n grid rows
+            n = ws.prime ** (ws.support_exp + ws.period_exp + 1)
+            assert all(c is not None and c >= np.finfo(float).eps * n for _, c in seen)
 
     def test_every_grid_builder_applies_the_cap(
         self, quartic_phi, quartic_mask, quartic_ws, monkeypatch, rng
