@@ -13,10 +13,14 @@ refinable function it determines has transform
 realized here as the finite product over depths t = 1 .. s+N at a point of
 norm p^s; factors beyond that depth equal m on Z_p-integers, which is 1.
 hat_from_mask and sphere_values read the same depth product. On the
-uniform grid the product telescopes exactly, so the refinement identity
-holds on the grid by construction and every support decision reduces to
-one sphere of unit residues. refinable_from_mask applies check_mra's
-limits (config.check_limits on the refined frame (N, M+1)) to its output.
+uniform grid the product telescopes exactly: the depth-t product is the
+depth-(t-1) product tiled p times, times m(l / p^t), so it costs O(p^t)
+with no index arithmetic, the refinement identity holds on the grid by
+construction, and every support decision reduces to one sphere of unit
+residues. refinable_from_mask builds the product once: its depth M+N is
+phi-hat and one more telescoping step gives the sphere p^(M+1) it
+decides. It applies check_mra's limits (config.check_limits on the
+refined frame (N, M+1)) to its output.
 """
 
 from __future__ import annotations
@@ -164,14 +168,37 @@ def mask_from_roots(
     return TrigPolynomial(p, poly, scale)
 
 
+def _deepen(m: TrigPolynomial, prod: np.ndarray, t: int) -> np.ndarray:
+    """The depth-t product from prod, the depth-(t-1) one.
+
+    Each factor m(l / p^s) with s < t only sees l modulo p^(t-1), so prod
+    repeats p times.
+    """
+    return np.tile(prod, m.prime) * m.values_on_depth_grid(t)
+
+
 def _depth_product(m: TrigPolynomial, depth: int) -> np.ndarray:
     """prod_{t=1..depth} m(l / p^t) for l = 0 .. p^depth - 1."""
-    n = m.prime**depth
-    idx = np.arange(n)
-    vals = np.ones(n, dtype=np.complex128)
+    vals = np.ones(1, dtype=np.complex128)
     for t in range(1, depth + 1):
-        vals = vals * m.values_on_depth_grid(t)[idx % m.prime**t]
+        vals = _deepen(m, vals, t)
     return vals
+
+
+def _units(m: TrigPolynomial, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The residues u prime to p among the indices of vals, and vals[u]."""
+    units = np.arange(vals.shape[0]).reshape(-1, m.prime)[:, 1:].ravel()
+    return units, vals[units]
+
+
+def _margin(
+    m: TrigPolynomial, sphere_exp: int, units: np.ndarray, vals: np.ndarray, tol: float
+) -> tuple[bool, PadicRational, float]:
+    """support_margin's verdict on the sphere p^sphere_exp given its values."""
+    mags = np.abs(vals)
+    worst = int(np.argmax(mags))
+    witness = PadicRational(m.prime, int(units[worst]), sphere_exp)
+    return bool(mags[worst] <= tol), witness, float(mags[worst])
 
 
 def hat_from_mask(m: TrigPolynomial, period_exp: int, tol: float = DEFAULT_TOL) -> TestFunction:
@@ -202,10 +229,7 @@ def sphere_values(
         raise PreconditionError(
             f"sphere exponent {s} lies inside B_{-N}, where the product is 1"
         )
-    vals = _depth_product(m, s + N)
-    units = np.arange(vals.shape[0])
-    units = units[units % m.prime != 0]
-    return units, vals[units]
+    return _units(m, _depth_product(m, s + N))
 
 
 def support_margin(
@@ -219,10 +243,7 @@ def support_margin(
     Returns (ok, extremal point, max |value| on the sphere).
     """
     units, vals = sphere_values(m, period_exp + 1, tol)
-    mags = np.abs(vals)
-    worst = int(np.argmax(mags))
-    witness = PadicRational(m.prime, int(units[worst]), period_exp + 1)
-    return bool(mags[worst] <= tol), witness, float(mags[worst])
+    return _margin(m, period_exp + 1, units, vals, tol)
 
 
 def refinable_from_mask(
@@ -242,8 +263,9 @@ def refinable_from_mask(
     if M + N < 0:
         raise PreconditionError(f"frame ({N}, {M}) has N + M < 0")
     check_limits(m.prime, N + M + 1, tol)
-    ok, witness, worst = support_margin(m, M, tol)
+    hat = hat_from_mask(m, M, tol)
+    sphere = _deepen(m, hat.values, M + N + 1)
+    ok, witness, worst = _margin(m, M + 1, *_units(m, sphere), tol)
     if not ok:
         raise SupportViolationError(witness, worst)
-    hat = hat_from_mask(m, M, tol)
     return inv_fourier(hat)

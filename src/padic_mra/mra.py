@@ -24,8 +24,10 @@ window matrix; only the right-hand side changes, and for b = k/p^N it is
 the grid roll of the fit target by k. check_mra therefore factors the
 window once and solves the fit together with all p^N axiom-(a) expansions
 as one block of right-hand sides. Gram scans over translates are circular
-correlations and are computed with one FFT. Every translate matrix is one
-index gather, _roll_columns.
+correlations, computed with one inverse FFT of |phi-hat|^2. check_mra
+transforms phi once and hands that transform to the mean, the L set and
+the orthonormality stages. Every translate matrix is one index gather,
+_roll_columns.
 """
 
 from __future__ import annotations
@@ -116,9 +118,13 @@ class LSet:
 
 
 def l_set(phi: TestFunction, tol: float = DEFAULT_TOL) -> LSet:
+    return _l_set(phi, fourier(phi).values, tol)
+
+
+def _l_set(phi: TestFunction, hat: np.ndarray, tol: float) -> LSet:
+    """l_set from hat, the values of fourier(phi) that the caller already has."""
     N, M = _require_frame(phi)
-    hat = fourier(phi)
-    mags = np.abs(hat.values)
+    mags = np.abs(hat)
     member_mask = mags > tol
     members = tuple(int(i) for i in np.nonzero(member_mask)[0])
     min_in = float(mags[member_mask].min()) if members else 0.0
@@ -317,14 +323,21 @@ def check_orthonormal_shifts(
     phi: TestFunction, tol: float = DEFAULT_TOL
 ) -> OrthonormalityReport:
     N, M = _require_frame(phi)
+    check_limits(phi.prime, N + M, tol)
+    return _orthonormality(phi, fourier(phi).values, tol)
+
+
+def _orthonormality(phi: TestFunction, hat: np.ndarray, tol: float) -> OrthonormalityReport:
+    """check_orthonormal_shifts from hat, the values of fourier(phi)."""
+    N, M = phi.frame
     p = phi.prime
-    check_limits(p, N + M, tol)
     n = p ** (N + M)
-    hat = fourier(phi)
-    power = np.abs(hat.values) ** 2
+    # autocorr[k] = p^-2M sum_a phi_a conj(phi_(a+k)): the character sums of
+    # stage 1 and, read at -k, the Gram row of stage 3.
+    autocorr = np.fft.ifft(np.abs(hat) ** 2)
 
     # Stage 1: the periodization identity, evaluated by exact character sums.
-    sums = n * np.fft.ifft(power)[: p**N]
+    sums = n * autocorr[: p**N]
     targets = np.zeros(p**N, dtype=np.complex128)
     targets[0] = p**N
     char_res = np.abs(sums - targets)
@@ -334,21 +347,21 @@ def check_orthonormal_shifts(
     if M > 0:
         idx = np.arange(n)
         outside = idx % p**M != 0
-        in_ball = not np.any(np.abs(hat.values[outside]) > tol)
-        inside_vals = hat.values[~outside]
+        in_ball = not np.any(np.abs(hat[outside]) > tol)
+        inside_vals = hat[~outside]
     else:
         in_ball = True
-        inside_vals = hat.values
+        inside_vals = hat
     modulus_ok: bool | None = None
     if in_ball:
         modulus_ok = bool(np.max(np.abs(np.abs(inside_vals) - 1.0), initial=0.0) <= tol)
 
-    # Stage 3: the Gram row <phi, phi(. - d/p^N)> for every d at once, as the
-    # circular autocorrelation of the values. v_p(d) < N means p^N does not
-    # divide d, which also leaves out d = 0, the norm, checked separately.
-    gram = float(p) ** (-M) * np.fft.ifft(np.abs(np.fft.fft(phi.values)) ** 2)
+    # Stage 3: the Gram row <phi, phi(. - d/p^N)> = p^M autocorr[-d] for every
+    # d at once. v_p(d) < N means p^N does not divide d, which also leaves
+    # out d = 0, the norm, checked separately; the classes are closed under
+    # d -> -d, so the sup over them can read autocorr at d.
     classes = np.arange(n) % p**N != 0
-    gram_res = float(np.max(np.abs(gram[classes]), initial=0.0))
+    gram_res = float(p) ** M * float(np.max(np.abs(autocorr[classes]), initial=0.0))
     gram_ok = gram_res <= tol
     norm_value = norm_l2(phi)
     norm_ok = abs(norm_value - 1.0) <= tol
@@ -447,7 +460,10 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
     p = phi.prime
     check_limits(p, N + M + 1, tol)
 
-    hat0 = fourier(phi).values[0]
+    # One transform serves the mean phi-hat(0) = p^-M sum phi, the L set and
+    # the orthonormality stages.
+    hat = fourier(phi).values
+    hat0 = hat[0]
     if abs(hat0) <= tol:
         raise PreconditionError(
             f"phi integrates to {hat0:.3e}; the MRA criterion needs a "
@@ -465,10 +481,10 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
     axiom_a_ok = all(s.ok for s in solutions)
     fit = MaskRecovery(solutions[0].mask, solutions[0].pointwise_residual, tol)
     refinable = fit.ok
-    ls = l_set(phi, tol)
+    ls = _l_set(phi, hat, tol)
     criterion_ok = bool(refinable and ls.within_bound)
 
-    ortho = check_orthonormal_shifts(phi, tol)
+    ortho = _orthonormality(phi, hat, tol)
     report = MraReport(
         prime=p,
         support_exp=N,

@@ -13,11 +13,16 @@ windows [(nu-1) p^N, nu p^N].
 Wavelet functions are tap combinations psi = sum_k g_k phi(x/p - k/p^(N+1))
 and live in D_N^(M+1). Construction verifies, never assumes: the Fourier
 factorization psi-hat(xi) = n(xi/p^N) phi-hat(p xi) and orthogonality to
-V_0 are residual-checked before anything is returned. Every wavelet
-residual is relative to the scale of what it compares: the expanded taps
-of (z - 1)^(p^N - #L) are binomial coefficients that reach 1e9 at p = 2,
-N = 5, and a verdict must not change when a wavelet is multiplied by a
-constant.
+V_0 are residual-checked before anything is returned. Both residuals of a
+wavelet are read off two DFTs on the frame (N, M+1), Phi0 of phi and Psi
+of psi, n = p^(N+M+1) values each: psi-hat at k/p^(M+1) is
+p^-(M+1) Psi[-k mod n], phi-hat(p xi) there is p^-(M+1) Phi0[-p k mod n],
+and the V_0 inner products are one inverse DFT of Phi0 conj(Psi). So a call
+transforms phi once and each wavelet once, plus one inverse per wavelet.
+Every wavelet residual is relative to the scale of what it compares: the
+expanded taps of (z - 1)^(p^N - #L) are binomial coefficients that reach
+1e9 at p = 2, N = 5, and a verdict must not change when a wavelet is
+multiplied by a constant.
 
 Frame quality is read off the Gram matrix of the translate system: on the
 span, sum_i |<f, g_i>|^2 sits between A and B times ||f||^2 exactly when A
@@ -29,7 +34,10 @@ transform above rounding are kept, p #L of them for a valid set. The DFT
 is unitary up to sqrt(n) and every dropped row is rounding noise in every
 column, so in exact arithmetic the solve and the spectrum are those of the
 full grid, and the solve keeps the full grid's rank cut. Their rounding
-differs, which can move a residual that sits at tol across it.
+differs, which can move a residual that sits at tol across it. The one
+batched DFT that picks the support rows also gives the factorization and
+V_0 residuals, so verify_wavelet_set and frame_bounds transform each
+generator once.
 
 A translate by k/p^(N+j) before the dilation by p^-j is one by k/p^N
 after it, so each level matrix of the multilevel transform is one index
@@ -46,12 +54,11 @@ import numpy as np
 from .config import DEFAULT_TOL, check_limits
 from .errors import PreconditionError, UnsupportedConfigurationError, VerificationError
 from .masks import TrigPolynomial, haar_mask
-from .mra import LSet, _mutual_span_residual, _roll_columns, l_set
+from .mra import LSet, _l_set, _mutual_span_residual, _roll_columns, l_set
 from .padic_core import PadicRational, character
 from .test_functions import (
     TestFunction,
     dilate,
-    fourier,
     norm_l2,
     omega,
     reframe,
@@ -136,21 +143,38 @@ def _tap_combination(phi: TestFunction, taps: np.ndarray) -> TestFunction:
     return TestFunction(p, N, M + 1, _roll_columns(g.values, len(taps)) @ taps)
 
 
-def _v0_orthogonality_residual(phi: TestFunction, psi: TestFunction) -> float:
-    """max |<phi(.-a), psi(.-b)>| over a, b in I_p.
+def _phi_spectrum(phi: TestFunction) -> np.ndarray:
+    """Phi0, the DFT of phi's values on the frame (N, M+1) of its wavelets."""
+    N, M = phi.frame
+    return np.fft.fft(reframe(phi, N, M + 1).values)
+
+
+def _negate(v: np.ndarray) -> np.ndarray:
+    """v[-k mod len(v)] for every k."""
+    return np.roll(v[::-1], 1)
+
+
+def _hat(phi: TestFunction, f0: np.ndarray) -> np.ndarray:
+    """phi-hat(l/p^M), l < p^(N+M), read off Phi0: p^-(M+1) Phi0[-p l mod n].
+
+    -p l mod n is p times -l mod n/p, so this is Phi0 on the multiples of
+    p, negated.
+    """
+    p, M = phi.prime, phi.period_exp
+    return float(p) ** (-(M + 1)) * _negate(f0[::p])
+
+
+def _v0_residual(f0: np.ndarray, spec: np.ndarray, p: int, N: int, M: int) -> float:
+    """max |<phi(.-a), psi(.-b)>| over a, b in I_p, from Phi0 and Psi.
 
     Translates more than p^N apart have disjoint supports, so only the
     difference classes d/p^N with |d| < p^N need computing; all of them are
-    entries of one circular cross-correlation of the value vectors.
+    entries of one circular cross-correlation, the inverse DFT of
+    Phi0 conj(Psi).
     """
-    N = phi.support_exp
-    p = phi.prime
-    f = reframe(phi, N, psi.period_exp)
-    corr = float(p) ** (-psi.period_exp) * np.fft.ifft(
-        np.fft.fft(f.values) * np.conj(np.fft.fft(psi.values))
-    )
+    corr = float(p) ** (-(M + 1)) * np.fft.ifft(f0 * np.conj(spec))
     d = np.arange(-(p**N) + 1, p**N)
-    return float(np.max(np.abs(corr[d % psi.n])))
+    return float(np.max(np.abs(corr[d % spec.shape[0]])))
 
 
 def _relative(residual: float, scale: float) -> float:
@@ -158,22 +182,29 @@ def _relative(residual: float, scale: float) -> float:
 
 
 def _wavelet_residuals(
-    phi: TestFunction, phat: TestFunction, mask: TrigPolynomial, psi: TestFunction
+    phi: TestFunction,
+    f0: np.ndarray,
+    mask: TrigPolynomial,
+    psi: TestFunction,
+    spec: np.ndarray,
 ) -> tuple[float, float]:
     """Scale-free (factorization, V_0-orthogonality) residuals of one wavelet.
 
-    The factorization residual is relative to max |n(xi/p^N) phi-hat(p xi)|
-    and the orthogonality residual to ||phi|| ||psi||, the Cauchy-Schwarz
-    bound of every inner product it scans.
+    f0 and spec are Phi0 and Psi, the DFTs of phi and psi on the frame
+    (N, M+1). The factorization residual is relative to
+    max |n(xi/p^N) phi-hat(p xi)| and the orthogonality residual to
+    ||phi|| ||psi||, the Cauchy-Schwarz bound of every inner product it
+    scans.
     """
     N, M = phi.frame
     p = phi.prime
-    idx = np.arange(psi.n)
-    mask_vals = mask.values_on_depth_grid(M + 1 + N)[idx % p ** (M + 1 + N)]
-    expected = mask_vals * phat.values[idx % phat.n]
-    fact = float(np.max(np.abs(fourier(psi).values - expected), initial=0.0))
+    # At k/p^(M+1): psi-hat is p^-(M+1) Psi[-k mod n], and phi-hat(p xi) is
+    # phi-hat(k/p^M), which repeats with period p^(N+M) in k.
+    expected = mask.values_on_depth_grid(N + M + 1) * np.tile(_hat(phi, f0), p)
+    got = float(p) ** (-(M + 1)) * _negate(spec)
+    fact = float(np.max(np.abs(got - expected), initial=0.0))
     fact = _relative(fact, float(np.max(np.abs(expected), initial=0.0)))
-    orth = _relative(_v0_orthogonality_residual(phi, psi), norm_l2(phi) * norm_l2(psi))
+    orth = _relative(_v0_residual(f0, spec, p, N, M), norm_l2(phi) * norm_l2(psi))
     return fact, orth
 
 
@@ -188,14 +219,21 @@ def wavelet_functions(
     on the full refined grid and orthogonality of every translate pair to
     V_0; raises VerificationError naming the failing mask otherwise.
     """
+    check_limits(phi.prime, phi.support_exp + phi.period_exp + 1, tol)
+    return _wavelet_functions(phi, masks, tol, _phi_spectrum(phi))
+
+
+def _wavelet_functions(
+    phi: TestFunction, masks: list[TrigPolynomial], tol: float, f0: np.ndarray
+) -> list[TestFunction]:
+    """wavelet_functions given Phi0 = _phi_spectrum(phi)."""
     p = phi.prime
-    phat = fourier(phi)
     out = []
     for i, mk in enumerate(masks):
         if mk.prime != p:
             raise PreconditionError(f"mask {i} has prime {mk.prime}, expected {p}")
         psi = _tap_combination(phi, mk.taps)
-        fact_res, orth_res = _wavelet_residuals(phi, phat, mk, psi)
+        fact_res, orth_res = _wavelet_residuals(phi, f0, mk, psi, np.fft.fft(psi.values))
         if fact_res > tol:
             raise VerificationError(
                 f"mask {i}: transform factorization residual {fact_res:.3e}"
@@ -260,8 +298,15 @@ def build_wavelet_set(
 ) -> WaveletSet:
     """Wavelet masks and verified wavelets for phi, on the frame (N, M+1)."""
     check_limits(phi.prime, phi.support_exp + phi.period_exp + 1, tol)
-    masks = wavelet_masks(phi, m0, tol)
-    psis = wavelet_functions(phi, masks, tol)
+    f0 = _phi_spectrum(phi)
+    try:
+        masks = wavelet_masks(phi, m0, tol, lset=_l_set(phi, _hat(phi, f0), tol))
+    except UnsupportedConfigurationError:
+        # The refusal's traceback keeps this frame alive for as long as the
+        # caller keeps the exception; it need not keep the spectrum too.
+        del f0
+        raise
+    psis = _wavelet_functions(phi, masks, tol, f0)
     return WaveletSet(phi, m0, psis, masks, tol)
 
 
@@ -298,8 +343,15 @@ class _SupportRows(NamedTuple):
     spectra: np.ndarray
 
 
-def _support_rows(ws: WaveletSet) -> _SupportRows:
-    """Spectra of phi, the wavelets and phi(x/p) on their joint support.
+def _spectra(ws: WaveletSet) -> np.ndarray:
+    """One batched DFT on the frame (N, M+1): phi, each wavelet, phi(x/p)."""
+    N, M = ws.support_exp, ws.period_exp
+    gens = [reframe(ws.phi, N, M + 1), *ws.wavelets, reframe(dilate(ws.phi, -1), N, M + 1)]
+    return np.fft.fft(np.column_stack([g.values for g in gens]), axis=0)
+
+
+def _support_rows(ws: WaveletSet, spectra: np.ndarray) -> _SupportRows:
+    """The _spectra of ws on their joint support.
 
     A bin is kept when some generator's DFT there exceeds n eps times that
     generator's own largest bin; everything below is rounding noise of the
@@ -307,9 +359,7 @@ def _support_rows(ws: WaveletSet) -> _SupportRows:
     wavelets by any constant keeps the same bins. For a valid set the
     support is that of phi(x/p): p #L bins.
     """
-    p, N, M = ws.prime, ws.support_exp, ws.period_exp
-    gens = [reframe(ws.phi, N, M + 1), *ws.wavelets, reframe(dilate(ws.phi, -1), N, M + 1)]
-    spectra = np.fft.fft(np.column_stack([g.values for g in gens]), axis=0)
+    p, N = ws.prime, ws.support_exp
     n = spectra.shape[0]
     mags = np.abs(spectra)
     floor = n * np.finfo(float).eps * np.max(mags, axis=0)
@@ -347,15 +397,21 @@ def _inclusion_residual(ws: WaveletSet, rows: _SupportRows) -> float:
     return _relative(residual, float(np.max(np.abs(ws.phi.values), initial=0.0)))
 
 
-def _verify(ws: WaveletSet, tol: float, rows: _SupportRows) -> WaveletVerification:
-    """verify_wavelet_set on the support rows of ws, which frame_bounds shares."""
-    phat = fourier(ws.phi)
+def _verify(ws: WaveletSet, tol: float) -> tuple[WaveletVerification, _SupportRows]:
+    """verify_wavelet_set, with the support rows that frame_bounds reuses.
+
+    The full spectra are dropped once the per-wavelet residuals are read,
+    before the inclusion solve builds its misfit.
+    """
+    spectra = _spectra(ws)
+    rows = _support_rows(ws, spectra)
     v0 = 0.0
     fact = 0.0
-    for mk, psi in zip(ws.masks, ws.wavelets):
-        f, o = _wavelet_residuals(ws.phi, phat, mk, psi)
+    for i, (mk, psi) in enumerate(zip(ws.masks, ws.wavelets)):
+        f, o = _wavelet_residuals(ws.phi, spectra[:, 0], mk, psi, spectra[:, 1 + i])
         fact, v0 = max(fact, f), max(v0, o)
-    return WaveletVerification(tol, v0, fact, _inclusion_residual(ws, rows))
+    del spectra
+    return WaveletVerification(tol, v0, fact, _inclusion_residual(ws, rows)), rows
 
 
 def verify_wavelet_set(ws: WaveletSet, tol: float | None = None) -> WaveletVerification:
@@ -373,7 +429,7 @@ def verify_wavelet_set(ws: WaveletSet, tol: float | None = None) -> WaveletVerif
     """
     tol = ws.tol if tol is None else tol
     check_limits(ws.prime, ws.support_exp + ws.period_exp + 1, tol)
-    return _verify(ws, tol, _support_rows(ws))
+    return _verify(ws, tol)[0]
 
 
 # --------------------------------------------------------------------------
@@ -416,8 +472,7 @@ def frame_bounds(ws: WaveletSet, tol: float | None = None) -> FrameReport:
     tol = ws.tol if tol is None else tol
     p, N, M = ws.prime, ws.support_exp, ws.period_exp
     check_limits(p, N + M + 1, tol)
-    rows = _support_rows(ws)
-    verification = _verify(ws, tol, rows)
+    verification, rows = _verify(ws, tol)
     # The Gram p^-(M+1) a* a / n of the kept-bin translates a has the
     # squared singular values of a as its nonzero eigenvalues.
     a = _translates(rows.spectra[:, 1:-1], rows.phases, p**N)
@@ -455,14 +510,16 @@ def kozyrev_set(p: int, tol: float = DEFAULT_TOL) -> WaveletSet:
     orthogonality, orthogonality to the ball translates, and span equality
     with the tap-window wavelets of the ball indicator's own mask.
     """
+    check_limits(p, 1, tol)
     phi = omega(p, 0, 0)
+    f0 = _phi_spectrum(phi)
     masks = [
         TrigPolynomial.from_taps(
             p, np.exp(2j * np.pi * nu * np.arange(p) / p), scale=0
         )
         for nu in range(1, p)
     ]
-    psis = wavelet_functions(phi, masks, tol)
+    psis = _wavelet_functions(phi, masks, tol, f0)
     ws = WaveletSet(phi, haar_mask(p), psis, masks, tol)
 
     for i, psi in enumerate(psis):
@@ -474,7 +531,8 @@ def kozyrev_set(p: int, tol: float = DEFAULT_TOL) -> WaveletSet:
                 raise VerificationError(
                     f"character wavelets {i} and {jj} are not orthogonal"
                 )
-    reference = wavelet_functions(phi, wavelet_masks(phi, haar_mask(p), tol), tol)
+    ref_masks = wavelet_masks(phi, haar_mask(p), tol, lset=_l_set(phi, _hat(phi, f0), tol))
+    reference = _wavelet_functions(phi, ref_masks, tol, f0)
     span_res = _mutual_span_residual(
         np.column_stack([psi.values for psi in psis]),
         np.column_stack([psi.values for psi in reference]),
@@ -603,6 +661,7 @@ def synthesize(tree: CoefficientTree, ws: WaveletSet) -> TestFunction:
     if tree.prime != ws.prime:
         raise PreconditionError(f"mixed primes {ws.prime} and {tree.prime}")
     frame = tree.frame
+    check_limits(ws.prime, sum(frame), ws.tol)
     acc = _v_matrix(ws, tree.j0, frame) @ tree.approx
     for j, dj in tree.details.items():
         acc = acc + _w_matrix(ws, j, frame) @ dj.reshape(-1)

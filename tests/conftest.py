@@ -7,14 +7,23 @@ inner products as measure-weighted sums of point evaluations on a finer
 grid, polynomial products by schoolbook convolution, the depth product
 one point at a time, one refinement step by a tap-weighted sum of rolls or
 on the transform side, the transform's level matrices column by
-column through shift, dilate and reframe, and the wavelet inclusion test
-and frame Gram on the full refined grid, one rolled column at a time.
-Frozen expected
-values in the test modules were produced by these oracles, not by the
-code under test.
+column through shift, dilate and reframe, the wavelet inclusion test
+and frame Gram on the full refined grid, one rolled column at a time, and
+each wavelet's factorization and V_0 residuals from its own transforms.
+Frozen expected values in the test modules were produced by these oracles,
+not by the code under test.
+
+BLAS runs on one thread: with a busy core, spinning OpenBLAS threads make
+the dense oracle solves many times slower. The pin is set before numpy is
+first imported, which is when BLAS reads it.
 """
 
 from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest
@@ -27,6 +36,7 @@ from padic_mra import (
     fourier,
     inv_fourier,
     mask_from_roots,
+    norm_l2,
     refinable_from_mask,
     reframe,
     shift,
@@ -109,6 +119,34 @@ def oracle_v0_residual(phi: TestFunction, psi: TestFunction) -> float:
     for d in range(-(p**N) + 1, p**N):
         worst = max(worst, abs(scale * np.vdot(np.roll(psi.values, d), f.values)))
     return worst
+
+
+def oracle_wavelet_residuals(
+    phi: TestFunction, mask: TrigPolynomial, psi: TestFunction
+) -> tuple[float, float]:
+    """(factorization, V_0) residuals of one wavelet, each from its own transforms.
+
+    fourier(psi) against n(xi/p^N) times fourier(phi) at p xi, relative to
+    the largest expected value; and the cross-correlation of phi, lifted to
+    the frame of psi, with psi by a forward DFT of each and one inverse,
+    relative to ||phi|| ||psi||.
+    """
+    p, N, M = phi.prime, phi.support_exp, phi.period_exp
+    phat = fourier(phi)
+    idx = np.arange(psi.n)
+    mask_vals = mask.values_on_depth_grid(M + 1 + N)[idx % p ** (M + 1 + N)]
+    expected = mask_vals * phat.values[idx % phat.n]
+    fact = float(np.max(np.abs(fourier(psi).values - expected)))
+    scale = float(np.max(np.abs(expected)))
+    fact = fact / scale if scale > 0 else fact
+    f = reframe(phi, N, psi.period_exp)
+    corr = float(p) ** (-psi.period_exp) * np.fft.ifft(
+        np.fft.fft(f.values) * np.conj(np.fft.fft(psi.values))
+    )
+    d = np.arange(-(p**N) + 1, p**N)
+    orth = float(np.max(np.abs(corr[d % psi.n])))
+    bound = norm_l2(phi) * norm_l2(psi)
+    return fact, orth / bound if bound > 0 else orth
 
 
 def oracle_hat_value_at(m: TrigPolynomial, xi: PadicRational) -> complex:

@@ -30,6 +30,7 @@ from padic_mra import (
 from padic_mra.config import GRID_CAP_ENV
 from padic_mra.errors import PreconditionError, SupportViolationError
 from padic_mra.generators import random_covering_mask, random_noise_mask
+from padic_mra.masks import _depth_product
 from padic_mra.padic_core import PadicRational, character
 
 
@@ -147,6 +148,25 @@ class TestRefinableFromMask:
             refinable_from_mask(haar_mask(19), 0)
         with pytest.raises(PreconditionError):
             check_mra(omega(19, 0, 0))
+
+
+class TestDepthProduct:
+    # depth 12 at p = 5 would be 244 million points
+    @pytest.mark.parametrize("p, max_depth", [(2, 12), (3, 12), (5, 8)])
+    def test_telescoped_product_matches_pointwise_oracle(self, p, max_depth, rng):
+        masks = [random_covering_mask(rng, p, 1, 1), random_noise_mask(rng, p, 1)]
+        for m in masks:
+            for depth in range(1, max_depth + 1):
+                got = _depth_product(m, depth)
+                assert got.shape == (p**depth,)
+                ls = np.arange(p**depth)
+                if ls.size > 256:
+                    # l = 0 stays: phi-hat(0) = 1 sets the scale of the product
+                    ls = np.concatenate([[0], rng.choice(ls[1:], size=255, replace=False)])
+                points = [PadicRational(p, int(l), depth - 1) for l in ls]
+                want = np.array([oracle_hat_value_at(m, xi) for xi in points])
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got[ls] - want)) <= 1e-13 * scale
 
 
 class TestSupportDecision:

@@ -11,6 +11,7 @@ from padic_mra import (
     check_mra,
     check_orthonormal_shifts,
     dilate,
+    fourier,
     haar_mask,
     l_set,
     mask_from_roots,
@@ -147,6 +148,18 @@ class TestCheckMra:
         f = TestFunction(2, 0, 1, np.array([1.0, -1.0], dtype=np.complex128))
         with pytest.raises(PreconditionError):
             check_mra(f)
+
+    def test_mean_value_is_the_transform_at_zero(self, quartic_phi, rng):
+        phis = [
+            omega(3, 1, 1),
+            quartic_phi,
+            _covering_phi_p2_n4(),
+            refinable_from_mask(random_unimodular_mask(rng, 3, 1), 1),
+            random_function(rng, 5, 1, 2),
+        ]
+        for phi in phis:
+            want = fourier(phi).values[0]
+            assert abs(check_mra(phi).mean_value - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("case", ["haar2", "haar3", "quartic", "covering"])
     def test_axiom_a_block_matches_per_translate_solves(self, case, quartic_phi):

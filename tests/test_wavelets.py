@@ -11,6 +11,7 @@ from padic_mra import (
     allclose,
     analyze,
     build_wavelet_set,
+    check_mra,
     check_orthonormal_shifts,
     dilate,
     frame_bounds,
@@ -32,6 +33,7 @@ from conftest import (
     oracle_level_matrix,
     oracle_v0_residual,
     oracle_wavelet_gram,
+    oracle_wavelet_residuals,
 )
 from padic_mra.config import DEFAULT_TOL, GRID_CAP_ENV
 from padic_mra.errors import (
@@ -40,11 +42,14 @@ from padic_mra.errors import (
     VerificationError,
 )
 from padic_mra.generators import random_covering_mask, random_function
-from padic_mra import wavelets
+from padic_mra import mra, test_functions, wavelets
 from padic_mra.wavelets import (
     WaveletSet,
-    _v0_orthogonality_residual,
+    _phi_spectrum,
+    _tap_combination,
+    _v0_residual,
     _v_matrix,
+    _wavelet_residuals,
     _w_matrix,
     _working_frame,
     wavelet_functions,
@@ -147,16 +152,112 @@ class TestWaveletFunctions:
 
     def test_fft_v0_residual_matches_brute_force(self, quartic_ws, haar3, rng):
         for ws in (quartic_ws, haar3):
-            for psi in ws.wavelets:
-                got = _v0_orthogonality_residual(ws.phi, psi)
-                assert got == pytest.approx(oracle_v0_residual(ws.phi, psi), abs=1e-13)
             p, N, M = ws.prime, ws.support_exp, ws.period_exp
+            f0 = _phi_spectrum(ws.phi)
+            for psi in ws.wavelets:
+                got = _v0_residual(f0, np.fft.fft(psi.values), p, N, M)
+                assert got == pytest.approx(oracle_v0_residual(ws.phi, psi), abs=1e-13)
             for _ in range(8):
                 psi = random_function(rng, p, N, M + 1)
                 want = oracle_v0_residual(ws.phi, psi)
                 assert want > 1e-3
-                got = _v0_orthogonality_residual(ws.phi, psi)
+                got = _v0_residual(f0, np.fft.fft(psi.values), p, N, M)
                 assert got == pytest.approx(want, rel=1e-12)
+
+
+def _assert_residual_matches(got, want):
+    if want < 1e-13:
+        assert abs(got - want) <= 1e-15, (got, want)
+    else:
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def _oracle_sets(case, quartic_mask):
+    family, *args = case.split("-")
+    args = [int(a) for a in args]
+    if family == "quartic":
+        return [build_wavelet_set(refinable_from_mask(quartic_mask, args[0]), quartic_mask)]
+    if family == "haar":
+        m = haar_mask(args[0])
+        return [build_wavelet_set(refinable_from_mask(m, 0), m)]
+    if family == "kozyrev":
+        return [kozyrev_set(args[0])]
+    p, N = args
+    return _covering_sets(p, N, seed=100 * p + N, draws=4)
+
+
+class TestSharedSpectra:
+    """Wavelet residuals read off shared transforms against per-wavelet ones."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["quartic-1", "quartic-3", "quartic-5", "haar-2", "haar-3", "haar-5",
+         "kozyrev-2", "kozyrev-3", "kozyrev-5",
+         "covering-2-3", "covering-2-4", "covering-2-5", "covering-2-6",
+         "covering-3-2", "covering-3-3", "covering-5-1", "covering-5-2"],
+    )
+    def test_residuals_match_per_wavelet_oracle(self, case, quartic_mask):
+        sets = _oracle_sets(case, quartic_mask)
+        assert sets
+        for ws in sets:
+            f0 = _phi_spectrum(ws.phi)
+            pairs = list(zip(ws.masks, ws.wavelets))
+            want = [oracle_wavelet_residuals(ws.phi, mk, psi) for mk, psi in pairs]
+            for (mk, psi), (fact, orth) in zip(pairs, want):
+                got = _wavelet_residuals(ws.phi, f0, mk, psi, np.fft.fft(psi.values))
+                _assert_residual_matches(got[0], fact)
+                _assert_residual_matches(got[1], orth)
+            # verify_wavelet_set reads the same residuals off its batched DFT
+            rep = verify_wavelet_set(ws)
+            _assert_residual_matches(rep.factorization_residual, max(f for f, _ in want))
+            _assert_residual_matches(rep.v0_residual, max(o for _, o in want))
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-6, 1.0, 1e6, 1e9])
+    def test_scaled_and_broken_masks_match_oracle(self, quartic_phi, quartic_mask, c):
+        good = wavelet_masks(quartic_phi, quartic_mask)[0].coeffs
+        f0 = _phi_spectrum(quartic_phi)
+        for coeffs in (c * good, c * (good * 1.01 + 0.01)):
+            mk = TrigPolynomial(2, coeffs, scale=2)
+            psi = _tap_combination(quartic_phi, mk.taps)
+            got = _wavelet_residuals(quartic_phi, f0, mk, psi, np.fft.fft(psi.values))
+            want = oracle_wavelet_residuals(quartic_phi, mk, psi)
+            _assert_residual_matches(got[0], want[0])
+            _assert_residual_matches(got[1], want[1])
+
+    @pytest.mark.parametrize("case", ["haar5", "quartic"])
+    def test_each_generator_is_transformed_once(self, case, quartic_mask, monkeypatch):
+        if case == "haar5":
+            m0, M = haar_mask(5), 2
+        else:
+            m0, M = quartic_mask, 3
+        phi = refinable_from_mask(m0, M)
+        masks = wavelet_masks(phi, m0)
+        ws = build_wavelet_set(phi, m0)
+        p, N, r = ws.prime, ws.support_exp, ws.r
+        # numpy.fft is one module object: this spies on every caller
+        assert wavelets.np.fft is mra.np.fft is test_functions.np.fft
+        vectors = []
+
+        def counting(real):
+            def spy(a, n=None, axis=-1, **kwargs):
+                a = np.asarray(a)
+                vectors.append(a.size // a.shape[axis])
+                return real(a, n, axis, **kwargs)
+
+            return spy
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(wavelets.np.fft, name, counting(getattr(np.fft, name)))
+
+        def transforms(call):
+            vectors.clear()
+            call()
+            return sum(vectors)
+
+        assert transforms(lambda: wavelet_functions(phi, masks)) <= 1 + 2 * r
+        assert transforms(lambda: build_wavelet_set(phi, m0)) <= 1 + 2 * r
+        assert transforms(lambda: frame_bounds(ws)) <= (r + 2) + r + p ** (N + 1)
+        assert transforms(lambda: check_mra(phi)) <= 3
 
 
 class TestFrameBounds:
@@ -325,18 +426,21 @@ class TestSupportRows:
         self, quartic_phi, quartic_mask, quartic_ws, monkeypatch, rng
     ):
         # phi lives on 2^3 points, its wavelets on the refined frame's 2^4
+        f = random_function(rng, 2, 2, 1)
+        tree = analyze(f, quartic_ws)
         monkeypatch.setenv(GRID_CAP_ENV, "8")
         check_orthonormal_shifts(quartic_phi)
         monkeypatch.setenv(GRID_CAP_ENV, "4")
         with pytest.raises(PreconditionError, match="grid cap"):
             check_orthonormal_shifts(quartic_phi)
         monkeypatch.setenv(GRID_CAP_ENV, "8")
-        f = random_function(rng, 2, 2, 1)
         for call in (
             lambda: build_wavelet_set(quartic_phi, quartic_mask),
+            lambda: wavelet_functions(quartic_phi, quartic_ws.masks),
             lambda: verify_wavelet_set(quartic_ws),
             lambda: frame_bounds(quartic_ws),
             lambda: analyze(f, quartic_ws),
+            lambda: synthesize(tree, quartic_ws),
         ):
             with pytest.raises(PreconditionError, match="grid cap"):
                 call()
