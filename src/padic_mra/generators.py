@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, check_limits
 from .errors import PreconditionError
 from .masks import TrigPolynomial, mask_from_roots, support_margin
 from .padic_core import PadicRational
@@ -32,13 +32,16 @@ __all__ = [
     "random_function",
 ]
 
+# Chance that random_covering_mask refines a pending congruence class
+# instead of placing a zero at its depth, when the budget allows both.
+_SPLIT_PROB = 0.55
+
 
 def random_covering_mask(
     rng: np.random.Generator,
     p: int,
     scale: int,
     period_exp: int,
-    split_prob: float = 0.55,
 ) -> TrigPolynomial:
     """A scaling mask whose refinable solution fits in D_N^M, by covering.
 
@@ -48,6 +51,9 @@ def random_covering_mask(
     """
     N, M = scale, period_exp
     max_depth = N + M + 1
+    # support_margin's sphere grid p^(N+M+1) is the largest built here. A
+    # refusal must surface, not be swallowed as a redraw below.
+    check_limits(p, max_depth, DEFAULT_TOL)
     # At p = 5, N = 2 only about one draw in eight is clean, so 64 tries
     # would refuse about one call in 6000; 1024 make that 1e-60.
     for _ in range(1024):
@@ -59,7 +65,7 @@ def random_covering_mask(
             # Splitting turns one pending class into p; every pending class
             # still needs a zero, so the budget must cover len(pending) + p.
             can_split = t < max_depth and budget >= len(pending) + p
-            if can_split and rng.random() < split_prob:
+            if can_split and rng.random() < _SPLIT_PROB:
                 pending.extend((r + j * p**t, t + 1) for j in range(p))
             else:
                 roots.append(PadicRational(p, r, t))

@@ -20,7 +20,8 @@ construction, and every support decision reduces to one sphere of unit
 residues. refinable_from_mask builds the product once: its depth M+N is
 phi-hat and one more telescoping step gives the sphere p^(M+1) it
 decides. It applies check_mra's limits (config.check_limits on the
-refined frame (N, M+1)) to its output.
+refined frame (N, M+1)) to its output; hat_from_mask and sphere_values
+apply them to the grid of the depth product they build.
 """
 
 from __future__ import annotations
@@ -211,6 +212,7 @@ def hat_from_mask(m: TrigPolynomial, period_exp: int, tol: float = DEFAULT_TOL) 
     M = period_exp
     if M + N < 0:
         raise PreconditionError(f"frame ({N}, {M}) has N + M < 0")
+    check_limits(m.prime, M + N, tol)
     return TestFunction(m.prime, M, N, _depth_product(m, M + N))
 
 
@@ -229,6 +231,7 @@ def sphere_values(
         raise PreconditionError(
             f"sphere exponent {s} lies inside B_{-N}, where the product is 1"
         )
+    check_limits(m.prime, s + N, tol)
     return _units(m, _depth_product(m, s + N))
 
 

@@ -15,9 +15,16 @@ verdicts backed by residuals:
     refined-scale window phi(x/p - k/p^(N+1)), 0 <= k < p^(N+1). The window
     suffices whenever any refined expansion exists: translates with
     |a|_p > p^(N+1) vanish on B_N, so a minimal expansion never needs them.
-  * check_orthonormal_shifts / check_haar_equivalence / check_mra: stacked
-    evidence reports; every verdict is a residual comparison, never a
-    symbolic shortcut, and a report holds only what was computed.
+  * check_orthonormal_shifts / check_mra: stacked evidence reports; every
+    verdict is a residual comparison or read off a set those comparisons
+    decided, and a report holds only what was computed.
+  * check_haar_equivalence: reads check_mra's Haar verdict. Under the
+    criterion #L <= p^N the translates phi(. - k/p^N), k < p^N, span
+    exactly the functions whose transform lives on L: their transforms at
+    l/p^M are phi-hat(l/p^M) z_l^k with distinct nodes
+    z_l = chi_p(l/p^(N+M)), a Vandermonde system of full row rank. The ball
+    indicator's L is the unit-ball residues p^M Z/p^(N+M), so span equality
+    with its translates is the set equality of the two L sets.
 
 The mask fit and every refined-window expansion solve against the same
 window matrix; only the right-hand side changes, and for b = k/p^N it is
@@ -46,7 +53,6 @@ from .test_functions import (
     dilate,
     fourier,
     norm_l2,
-    omega,
     reframe,
     shift,
 )
@@ -196,6 +202,7 @@ def recover_mask(phi: TestFunction, tol: float = DEFAULT_TOL) -> MaskRecovery:
     the minimizer does too, so success is equivalent to solvability.
     """
     N, M = _require_frame(phi)
+    check_limits(phi.prime, N + M + 1, tol)
     hat0 = fourier(phi).values[0]
     if abs(hat0) <= tol:
         raise PreconditionError(
@@ -241,18 +248,17 @@ def shift_mask(
     b: PadicRational,
     same_scale: bool = True,
     tol: float = DEFAULT_TOL,
-    lset: LSet | None = None,
 ) -> ShiftMaskSolution:
     N, M = _require_frame(phi)
     p = phi.prime
+    check_limits(p, N + M if same_scale else N + M + 1, tol)
     if b.prime != p:
         raise PreconditionError(f"mixed primes {p} and {b.prime}")
     if b.norm() > p**N:
         raise PreconditionError(f"|b|_p = {b.norm():g} exceeds p^N = {p**N}")
 
     if same_scale:
-        ls = lset if lset is not None else l_set(phi, tol)
-        members = np.array(ls.members, dtype=np.int64)
+        members = np.array(l_set(phi, tol).members, dtype=np.int64)
         n = p ** (N + M)
         k = np.arange(p**N)
         # System: m_b(l / p^(M+N)) = chi_p(b l / p^M) for l in L.
@@ -380,38 +386,20 @@ def _orthonormality(phi: TestFunction, hat: np.ndarray, tol: float) -> Orthonorm
     )
 
 
-def check_haar_equivalence(
-    phi: TestFunction,
-    tol: float = DEFAULT_TOL,
-    mra_report: "MraReport | None" = None,
-    ortho_report: OrthonormalityReport | None = None,
-) -> bool:
+def check_haar_equivalence(phi: TestFunction, tol: float = DEFAULT_TOL) -> bool:
     """Span equality of {phi(. - k/p^N)} with the ball-indicator translates.
 
-    Precondition: phi is an orthogonal MRA generator (both checks must
-    pass; they are run here when reports are not supplied).
+    Precondition: phi is an orthogonal MRA generator, with orthonormal
+    translates and the MRA criterion. Reads check_mra's haar_equivalent,
+    the set equality of L with the unit-ball residues.
     """
-    N, M = _require_frame(phi)
-    p = phi.prime
-    ortho = ortho_report if ortho_report is not None else check_orthonormal_shifts(phi, tol)
-    if not ortho.verdict:
+    _require_frame(phi)
+    report = check_mra(phi, tol)
+    if not report.orthonormality.verdict:
         raise PreconditionError("translates are not orthonormal")
-    report = mra_report if mra_report is not None else check_mra(phi, tol)
     if not report.criterion_ok:
         raise PreconditionError("phi does not satisfy the MRA criterion")
-
-    cols_phi = _roll_columns(phi.values, p**N)
-    cols_haar = _roll_columns(omega(p, N, M).values, p**N)
-    return _mutual_span_residual(cols_phi, cols_haar) <= tol
-
-
-def _mutual_span_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Sup residual of expressing the columns of b through a, and of a through b."""
-    sol_ab, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    sol_ba, _, _, _ = np.linalg.lstsq(b, a, rcond=None)
-    res_ab = float(np.max(np.abs(a @ sol_ab - b), initial=0.0))
-    res_ba = float(np.max(np.abs(b @ sol_ba - a), initial=0.0))
-    return max(res_ab, res_ba)
+    return bool(report.haar_equivalent)
 
 
 # --------------------------------------------------------------------------
@@ -424,7 +412,9 @@ class MraReport:
 
     criterion_ok is exactly: refinable, and #L <= p^N. Axiom (a) is
     recorded alongside, through refined-window shift expansions for every
-    b = k/p^N.
+    b = k/p^N. haar_equivalent is None unless the translates are
+    orthonormal and the criterion holds; then it says whether L is the
+    unit-ball residues p^M Z/p^(N+M).
     """
 
     prime: int
@@ -454,6 +444,9 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
     compact Fourier support (every sphere |xi| = p^s dilates into B_{-N},
     where the transform is the mean; for orthonormal translates classical
     sufficiency gives both too), so the report holds nothing for them.
+
+    For an orthonormal phi that meets the criterion, Haar equivalence is
+    the set equality of L with the unit-ball residues; no solve is needed.
     """
     phi = _normalize_frame(phi)
     N, M = phi.frame
@@ -485,7 +478,10 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
     criterion_ok = bool(refinable and ls.within_bound)
 
     ortho = _orthonormality(phi, hat, tol)
-    report = MraReport(
+    haar_equivalent = None
+    if ortho.verdict and criterion_ok:
+        haar_equivalent = ls.members == tuple(range(0, p ** (N + M), p**M))
+    return MraReport(
         prime=p,
         support_exp=N,
         period_exp=M,
@@ -499,10 +495,5 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
         shift_solutions=solutions,
         axiom_a_ok=bool(axiom_a_ok),
         orthonormality=ortho,
-        haar_equivalent=None,
+        haar_equivalent=haar_equivalent,
     )
-    if ortho.verdict and criterion_ok:
-        report.haar_equivalent = check_haar_equivalence(
-            phi, tol, mra_report=report, ortho_report=ortho
-        )
-    return report

@@ -54,7 +54,7 @@ import numpy as np
 from .config import DEFAULT_TOL, check_limits
 from .errors import PreconditionError, UnsupportedConfigurationError, VerificationError
 from .masks import TrigPolynomial, haar_mask
-from .mra import LSet, _l_set, _mutual_span_residual, _roll_columns, l_set
+from .mra import LSet, _l_set, _roll_columns, l_set
 from .padic_core import PadicRational, character
 from .test_functions import (
     TestFunction,
@@ -507,19 +507,19 @@ def kozyrev_set(p: int, tol: float = DEFAULT_TOL) -> WaveletSet:
 
     Built as tap combinations over the ball indicator with taps
     g_k = exp(2 pi i nu k / p), then verified: unit norms, pairwise
-    orthogonality, orthogonality to the ball translates, and span equality
-    with the tap-window wavelets of the ball indicator's own mask.
+    orthogonality, orthogonality to the ball translates, and inclusion,
+    the refined ball translates phi(x/p - a) lying in the span of phi and
+    the wavelets (verify_wavelet_set's inclusion residual within tol).
     """
     check_limits(p, 1, tol)
     phi = omega(p, 0, 0)
-    f0 = _phi_spectrum(phi)
     masks = [
         TrigPolynomial.from_taps(
             p, np.exp(2j * np.pi * nu * np.arange(p) / p), scale=0
         )
         for nu in range(1, p)
     ]
-    psis = _wavelet_functions(phi, masks, tol, f0)
+    psis = _wavelet_functions(phi, masks, tol, _phi_spectrum(phi))
     ws = WaveletSet(phi, haar_mask(p), psis, masks, tol)
 
     for i, psi in enumerate(psis):
@@ -531,16 +531,11 @@ def kozyrev_set(p: int, tol: float = DEFAULT_TOL) -> WaveletSet:
                 raise VerificationError(
                     f"character wavelets {i} and {jj} are not orthogonal"
                 )
-    ref_masks = wavelet_masks(phi, haar_mask(p), tol, lset=_l_set(phi, _hat(phi, f0), tol))
-    reference = _wavelet_functions(phi, ref_masks, tol, f0)
-    span_res = _mutual_span_residual(
-        np.column_stack([psi.values for psi in psis]),
-        np.column_stack([psi.values for psi in reference]),
-    )
-    if span_res > tol:
+    inclusion = _verify(ws, tol)[0].inclusion_residual
+    if inclusion > tol:
         raise VerificationError(
-            f"character wavelets do not span the tap-window wavelets "
-            f"(residual {span_res:.3e})"
+            f"character wavelets and the ball translates do not span the "
+            f"refined ball translates (residual {inclusion:.3e})"
         )
     return ws
 
@@ -571,10 +566,6 @@ class CoefficientTree:
     tol: float
 
 
-def _translate_matrix(funcs: list[TestFunction], count: int, step: int = 1) -> np.ndarray:
-    return np.hstack([_roll_columns(f.values, count, step) for f in funcs])
-
-
 def _level_matrix(
     funcs: list[TestFunction], N: int, j: int, frame: tuple[int, int]
 ) -> np.ndarray:
@@ -584,17 +575,7 @@ def _level_matrix(
     """
     p = funcs[0].prime
     gens = [reframe(dilate(f, -j, normalized=True), *frame) for f in funcs]
-    return _translate_matrix(gens, p ** (N + j), p ** (frame[0] - N))
-
-
-def _v_matrix(ws: WaveletSet, j: int, frame: tuple[int, int]) -> np.ndarray:
-    """Columns p^(j/2) phi(p^-j x - a), a over I_p with |a| <= p^(N+j)."""
-    return _level_matrix([ws.phi], ws.support_exp, j, frame)
-
-
-def _w_matrix(ws: WaveletSet, j: int, frame: tuple[int, int]) -> np.ndarray:
-    """The same columns for each wavelet, one block of p^(N+j) per wavelet."""
-    return _level_matrix(ws.wavelets, ws.support_exp, j, frame)
+    return np.hstack([_roll_columns(g.values, p ** (N + j), p ** (frame[0] - N)) for g in gens])
 
 
 def _working_frame(ws: WaveletSet, f: TestFunction, j1: int) -> tuple[int, int]:
@@ -625,7 +606,8 @@ def analyze(
     check_limits(ws.prime, sum(frame), tol)
     target = reframe(f, *frame).values
 
-    v_top = _v_matrix(ws, j1, frame)
+    N = ws.support_exp
+    v_top = _level_matrix([ws.phi], N, j1, frame)
     c, _, _, _ = np.linalg.lstsq(v_top, target, rcond=None)
     approx = v_top @ c
     input_residual = float(np.max(np.abs(approx - target), initial=0.0))
@@ -633,11 +615,11 @@ def analyze(
     details: dict[int, np.ndarray] = {}
     split_residuals: dict[int, float] = {}
     for j in range(j1 - 1, j0 - 1, -1):
-        vj = _v_matrix(ws, j, frame)
+        vj = _level_matrix([ws.phi], N, j, frame)
         cj, _, _, _ = np.linalg.lstsq(vj, approx, rcond=None)
         smooth = vj @ cj
         residue = approx - smooth
-        wj = _w_matrix(ws, j, frame)
+        wj = _level_matrix(ws.wavelets, N, j, frame)
         dj, _, _, _ = np.linalg.lstsq(wj, residue, rcond=None)
         split_residuals[j] = float(np.max(np.abs(wj @ dj - residue), initial=0.0))
         details[j] = dj.reshape(ws.r, -1)
@@ -662,7 +644,8 @@ def synthesize(tree: CoefficientTree, ws: WaveletSet) -> TestFunction:
         raise PreconditionError(f"mixed primes {ws.prime} and {tree.prime}")
     frame = tree.frame
     check_limits(ws.prime, sum(frame), ws.tol)
-    acc = _v_matrix(ws, tree.j0, frame) @ tree.approx
+    N = ws.support_exp
+    acc = _level_matrix([ws.phi], N, tree.j0, frame) @ tree.approx
     for j, dj in tree.details.items():
-        acc = acc + _w_matrix(ws, j, frame) @ dj.reshape(-1)
+        acc = acc + _level_matrix(ws.wavelets, N, j, frame) @ dj.reshape(-1)
     return TestFunction(ws.prime, frame[0], frame[1], acc)

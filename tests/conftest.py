@@ -8,8 +8,10 @@ grid, polynomial products by schoolbook convolution, the depth product
 one point at a time, one refinement step by a tap-weighted sum of rolls or
 on the transform side, the transform's level matrices column by
 column through shift, dilate and reframe, the wavelet inclusion test
-and frame Gram on the full refined grid, one rolled column at a time, and
-each wavelet's factorization and V_0 residuals from its own transforms.
+and frame Gram on the full refined grid, one rolled column at a time,
+each wavelet's factorization and V_0 residuals from its own transforms,
+and span equality of two column systems by two dense least-squares
+solves.
 Frozen expected values in the test modules were produced by these oracles,
 not by the code under test.
 
@@ -37,6 +39,7 @@ from padic_mra import (
     inv_fourier,
     mask_from_roots,
     norm_l2,
+    omega,
     refinable_from_mask,
     reframe,
     shift,
@@ -217,6 +220,26 @@ def oracle_inclusion_residual(ws) -> float:
     sol, _, _, _ = np.linalg.lstsq(span, targets, rcond=None)
     residual = np.max(np.abs(span @ sol - targets))
     return float(residual / np.max(np.abs(targets)))
+
+
+def oracle_span_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """Sup residual of expressing the columns of b through a, and of a through b."""
+    sol_ab, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
+    sol_ba, _, _, _ = np.linalg.lstsq(b, a, rcond=None)
+    res_ab = float(np.max(np.abs(a @ sol_ab - b), initial=0.0))
+    res_ba = float(np.max(np.abs(b @ sol_ba - a), initial=0.0))
+    return max(res_ab, res_ba)
+
+
+def oracle_haar_span_residual(phi: TestFunction) -> float:
+    """Span residual of phi's translates against the ball indicator's.
+
+    Both systems are the translates by k/p^N, k < p^N, on phi's frame.
+    """
+    p, N, M = phi.prime, phi.support_exp, phi.period_exp
+    return oracle_span_residual(
+        _oracle_translates([phi], p**N), _oracle_translates([omega(p, N, M)], p**N)
+    )
 
 
 def oracle_wavelet_gram(ws) -> np.ndarray:

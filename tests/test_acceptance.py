@@ -136,7 +136,7 @@ def test_criterion_3_duality_equivalence():
         ls = l_set(phi)
         sides[ls.within_bound] += 1
         solutions = [
-            shift_mask(phi, b, same_scale=False, lset=ls)
+            shift_mask(phi, b, same_scale=False)
             for b in enumerate_Ip_ball(p, N)
         ]
         all_ok = all(s.ok for s in solutions)

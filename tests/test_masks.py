@@ -22,8 +22,10 @@ from padic_mra import (
     hat_from_mask,
     mask_from_roots,
     omega,
+    recover_mask,
     refinable_from_mask,
     reframe,
+    shift_mask,
     sphere_values,
     support_margin,
 )
@@ -144,10 +146,18 @@ class TestRefinableFromMask:
             check_mra(omega(2, 0, 1), tol=tol)
 
     def test_prime_above_the_maximum_is_refused(self):
-        with pytest.raises(PreconditionError):
-            refinable_from_mask(haar_mask(19), 0)
-        with pytest.raises(PreconditionError):
-            check_mra(omega(19, 0, 0))
+        for call in (
+            lambda: refinable_from_mask(haar_mask(19), 0),
+            lambda: check_mra(omega(19, 0, 0)),
+            lambda: recover_mask(omega(19, 0, 0)),
+            lambda: shift_mask(omega(19, 0, 0), PadicRational(19, 1, 0)),
+            lambda: shift_mask(omega(19, 0, 0), PadicRational(19, 1, 0), same_scale=False),
+            lambda: hat_from_mask(haar_mask(19), 0),
+            lambda: sphere_values(haar_mask(19), 1),
+            lambda: support_margin(haar_mask(19), 0),
+        ):
+            with pytest.raises(PreconditionError, match="exceeds the supported maximum"):
+                call()
 
 
 class TestDepthProduct:

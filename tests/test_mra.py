@@ -20,8 +20,8 @@ from padic_mra import (
     refinable_from_mask,
     shift_mask,
 )
-from conftest import oracle_gram_residual
-from padic_mra.errors import NotRefinableError, PreconditionError
+from conftest import oracle_gram_residual, oracle_haar_span_residual
+from padic_mra.errors import NotRefinableError, PreconditionError, SupportViolationError
 from padic_mra.generators import (
     random_covering_mask,
     random_function,
@@ -184,6 +184,7 @@ class TestCheckMra:
         assert np.max(np.abs(report.recovered_mask.taps - fit.mask.taps)) <= 1e-10
 
     def test_one_lstsq_for_fit_and_axiom_a(self, quartic_phi, monkeypatch):
+        unimodular = refinable_from_mask(random_unimodular_mask(np.random.default_rng(4), 2, 2), 1)
         calls = []
         real = np.linalg.lstsq
 
@@ -192,11 +193,18 @@ class TestCheckMra:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counting)
-        report = check_mra(quartic_phi)
-        # quartic translates are not orthonormal, so the Haar-equivalence
-        # solves never run: the only solve is the window block
-        assert report.haar_equivalent is None
-        assert len(calls) == 1
+        # Haar equivalence is read off the L set, whether it is decided
+        # (orthonormal translates) or not (the quartic): the only solve is
+        # the window block
+        for phi, haar in (
+            (quartic_phi, None),
+            (omega(2, 1, 1), True),
+            (omega(3, 1, 1), True),
+            (unimodular, True),
+        ):
+            calls.clear()
+            assert check_mra(phi).haar_equivalent is haar
+            assert len(calls) == 1
 
 
 class TestOrthonormality:
@@ -240,7 +248,57 @@ class TestGramStage:
             assert rep.gram_residual == pytest.approx(oracle, rel=1e-9, abs=1e-13)
 
 
+@pytest.fixture(scope="module")
+def sweep_reports(quartic_phi):
+    """(phi, check_mra(phi)) for the quartic and seeded draws at M <= 2.
+
+    The draws are covering and unimodular masks at p = 2, N <= 4; p = 3,
+    N <= 2; and p = 5, N = 1.
+    """
+    rng = np.random.default_rng(31)
+    phis = [quartic_phi]
+    for p, N in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)):
+        for M in range(3):
+            masks = [random_covering_mask(rng, p, N, M) for _ in range(5)]
+            masks += [random_unimodular_mask(rng, p, N) for _ in range(2)]
+            for m in masks:
+                try:
+                    phis.append(refinable_from_mask(m, M))
+                except SupportViolationError:
+                    pass
+    return [(phi, check_mra(phi)) for phi in phis]
+
+
 class TestHaarEquivalence:
+    def test_l_set_decision_matches_dense_span_oracle(self, sweep_reports):
+        # Under the criterion the translates span the ball-indicator
+        # translates exactly when L is the unit-ball residues p^M Z/p^(N+M);
+        # the quartic's L is not, and its span differs.
+        sides = {True: 0, False: 0}
+        for i, (phi, report) in enumerate(sweep_reports):
+            if not report.criterion_ok:
+                continue
+            p, N, M = phi.prime, phi.support_exp, phi.period_exp
+            unit_ball = report.lset.members == tuple(range(0, p ** (N + M), p**M))
+            assert unit_ball == (oracle_haar_span_residual(phi) <= report.tol)
+            if report.haar_equivalent is not None:
+                assert report.haar_equivalent is unit_ball
+            if i == 0:
+                assert not unit_ball
+            sides[unit_ball] += 1
+        assert sides[True] >= 20 and sides[False] >= 20
+
+    def test_orthogonal_scaling_functions_are_haar(self, sweep_reports):
+        # The paper's claim (b): an orthonormal MRA generator is 1-periodic
+        # (its transform lives in the unit ball) and generates the Haar MRA.
+        orthonormal = 0
+        for _, report in sweep_reports:
+            if report.orthonormality.verdict and report.criterion_ok:
+                assert report.orthonormality.hat_supported_in_unit_ball
+                assert report.haar_equivalent is True
+                orthonormal += 1
+        assert orthonormal >= 20
+
     def test_haar_dilate_is_equivalent(self):
         phi = refinable_from_mask(haar_mask(2), 0)
         assert check_haar_equivalence(phi) is True

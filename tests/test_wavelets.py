@@ -16,14 +16,19 @@ from padic_mra import (
     dilate,
     frame_bounds,
     haar_mask,
+    hat_from_mask,
     inner_product,
     kozyrev_set,
     lincomb,
     mask_from_roots,
     norm_l2,
+    recover_mask,
     refinable_from_mask,
     reframe,
     shift,
+    shift_mask,
+    sphere_values,
+    support_margin,
     synthesize,
     verify_wavelet_set,
     wavelet_masks,
@@ -45,12 +50,11 @@ from padic_mra.generators import random_covering_mask, random_function
 from padic_mra import mra, test_functions, wavelets
 from padic_mra.wavelets import (
     WaveletSet,
+    _level_matrix,
     _phi_spectrum,
     _tap_combination,
     _v0_residual,
-    _v_matrix,
     _wavelet_residuals,
-    _w_matrix,
     _working_frame,
     wavelet_functions,
 )
@@ -428,13 +432,28 @@ class TestSupportRows:
         # phi lives on 2^3 points, its wavelets on the refined frame's 2^4
         f = random_function(rng, 2, 2, 1)
         tree = analyze(f, quartic_ws)
+        b = PadicRational(2, 1, 2)
         monkeypatch.setenv(GRID_CAP_ENV, "8")
+        # each of these builds at most 2^3 points
         check_orthonormal_shifts(quartic_phi)
+        shift_mask(quartic_phi, b)
+        hat_from_mask(quartic_mask, 1)
+        sphere_values(quartic_mask, 1)
         monkeypatch.setenv(GRID_CAP_ENV, "4")
         with pytest.raises(PreconditionError, match="grid cap"):
             check_orthonormal_shifts(quartic_phi)
         monkeypatch.setenv(GRID_CAP_ENV, "8")
+        # the refusal comes before the first draw, not after 1024 redraws
+        state = rng.bit_generator.state
+        with pytest.raises(PreconditionError, match="grid cap"):
+            random_covering_mask(rng, 2, 2, 1)
+        assert rng.bit_generator.state == state
         for call in (
+            lambda: recover_mask(quartic_phi),
+            lambda: shift_mask(quartic_phi, b, same_scale=False),
+            lambda: hat_from_mask(quartic_mask, 2),
+            lambda: sphere_values(quartic_mask, 2),
+            lambda: support_margin(quartic_mask, 1),
             lambda: build_wavelet_set(quartic_phi, quartic_mask),
             lambda: wavelet_functions(quartic_phi, quartic_ws.masks),
             lambda: verify_wavelet_set(quartic_ws),
@@ -464,6 +483,24 @@ class TestKozyrev:
             assert norm_l2(a) == pytest.approx(1.0, abs=1e-12)
             for b in ws.wavelets[i + 1 :]:
                 assert abs(inner_product(a, b)) < 1e-12
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+    def test_verifies_at_every_supported_prime(self, p):
+        ver = verify_wavelet_set(kozyrev_set(p))
+        assert ver.ok
+        assert ver.inclusion_residual <= 1e-12
+
+    def test_builds_no_tap_window_reference(self, monkeypatch):
+        calls = []
+        real = wavelets.wavelet_masks
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(wavelets, "wavelet_masks", spy)
+        kozyrev_set(3)
+        assert not calls
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_parseval(self, p):
@@ -508,12 +545,10 @@ class TestTransform:
             frame = _working_frame(ws, f, j1)
             N = ws.support_exp
             for j in range(j1 + 1):
-                assert np.array_equal(
-                    _v_matrix(ws, j, frame), oracle_level_matrix([ws.phi], N, j, frame)
-                )
-                assert np.array_equal(
-                    _w_matrix(ws, j, frame), oracle_level_matrix(ws.wavelets, N, j, frame)
-                )
+                for funcs in ([ws.phi], ws.wavelets):
+                    assert np.array_equal(
+                        _level_matrix(funcs, N, j, frame), oracle_level_matrix(funcs, N, j, frame)
+                    )
 
     def test_rejects_bad_level_order(self, haar2, rng):
         f = random_function(rng, 2, 1, 1)
