@@ -149,6 +149,18 @@ def _roll_columns(values: np.ndarray, count: int, step: int = 1) -> np.ndarray:
     return values[(idx[:, None] - step * np.arange(count)[None, :]) % values.shape[0]]
 
 
+def _translate_sum(spectra: np.ndarray, coeffs: np.ndarray, step: int = 1) -> np.ndarray:
+    """DFT of sum_i sum_k coeffs[i, k] np.roll(g_i, k * step), spectra[:, i] the DFT of g_i.
+
+    Each row of coeffs is placed every step points of a zero vector, so the
+    sum over its generator's rolls is one FFT convolution.
+    """
+    count = coeffs.shape[1]
+    placed = np.zeros((spectra.shape[0], coeffs.shape[0]), dtype=np.complex128)
+    placed[: count * step : step] = coeffs.T
+    return np.sum(spectra * np.fft.fft(placed, axis=0), axis=1)
+
+
 def _window_solve(phi: TestFunction, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares taps on the refined window for every column of targets.
 
@@ -273,7 +285,8 @@ def shift_mask(
         else:
             alpha = np.zeros(p**N, dtype=np.complex128)
             sys_res = 0.0
-        candidate = TestFunction(p, N, M, _roll_columns(phi.values, p**N) @ alpha)
+        spread = _translate_sum(np.fft.fft(phi.values)[:, None], alpha[None, :])
+        candidate = TestFunction(p, N, M, np.fft.ifft(spread))
         target = shift(phi, b)
         c2, t2 = common_frame(candidate, target)
         pw_res = float(np.max(np.abs(c2.values - t2.values), initial=0.0))

@@ -3,12 +3,20 @@
 Given an MRA generator phi in D_N^M with scaling mask m_0, the p-1 wavelet
 masks are built as polynomials in z = chi_p(xi):
 
-    n_nu(z) = z^((nu-1) p^N) * (z - 1)^(p^N - #L) * prod_{l in L} (z - chi_p(l / p^(M+N)))
+    n_nu(z) = z^((nu-1) p^N) * B(z),   B(z) = prod_{l in L} (z - chi_p(l / p^(M+N)))
 
-The product factor kills exactly the residues mod p^(M+N) where the
-transform of phi lives, which is what makes every wavelet translate
-orthogonal to V_0; the z-power spreads the p-1 masks over disjoint tap
-windows [(nu-1) p^N, nu p^N].
+B kills exactly the residues mod p^(M+N) where the transform of phi lives,
+which is what makes every wavelet translate orthogonal to V_0; the z-power
+spreads the p-1 masks over disjoint tap windows starting at (nu-1) p^N. On a
+DFT bin s of the refined frame, translate k of wavelet nu is
+G(s) B(z_s) z_s^((nu-1) p^N + k), G the transform of phi(x/p): the p-1
+windows together are one Vandermonde system in the distinct nodes z_s, with
+exponents below (p-1) p^N and rows scaled by G B. B vanishes on the V_0
+bins, so the wavelets live on the other (p-1) #L bins of the support of G,
+and #L <= p^N gives full row rank there: V_1 = V_0 + W_0. A padding factor
+(z - 1)^(p^N - #L), which would raise the degree of B to p^N, is left out:
+it adds nothing to that count, and on the bins nearest z = 1 it is far below
+rounding, so a set built with it can fail its own inclusion test.
 
 Wavelet functions are tap combinations psi = sum_k g_k phi(x/p - k/p^(N+1))
 and live in D_N^(M+1). Construction verifies, never assumes: the Fourier
@@ -19,10 +27,9 @@ of psi, n = p^(N+M+1) values each: psi-hat at k/p^(M+1) is
 p^-(M+1) Psi[-k mod n], phi-hat(p xi) there is p^-(M+1) Phi0[-p k mod n],
 and the V_0 inner products are one inverse DFT of Phi0 conj(Psi). So a call
 transforms phi once and each wavelet once, plus one inverse per wavelet.
-Every wavelet residual is relative to the scale of what it compares: the
-expanded taps of (z - 1)^(p^N - #L) are binomial coefficients that reach
-1e9 at p = 2, N = 5, and a verdict must not change when a wavelet is
-multiplied by a constant.
+Every wavelet residual is relative to the scale of what it compares: a
+verdict must not change when a wavelet is multiplied by a constant, and the
+expanded taps of a supplied mask can be of any size.
 
 Frame quality is read off the Gram matrix of the translate system: on the
 span, sum_i |<f, g_i>|^2 sits between A and B times ||f||^2 exactly when A
@@ -39,9 +46,16 @@ batched DFT that picks the support rows also gives the factorization and
 V_0 residuals, so verify_wavelet_set and frame_bounds transform each
 generator once.
 
-A translate by k/p^(N+j) before the dilation by p^-j is one by k/p^N
-after it, so each level matrix of the multilevel transform is one index
-gather of a single dilated generator.
+The multilevel transform runs on support rows too. A translate by
+k/p^(N+j) before the dilation by p^-j is one by k/p^N after it, a roll by
+k step on the working frame, so each level's translates are phases times
+the DFT of one dilated generator. V_j's projection is the band of the
+input's DFT on the bins where the level-j dilate of phi lives, exact when
+those bins carry distinct nodes and number at most p^(N+j) (the same
+Vandermonde count), and the lstsq on them otherwise; the details are the
+minimum-norm lstsq of the W_j translates on their own support bins, with
+the full grid's rank cut. Synthesis is one FFT convolution per generator
+and level. No step builds an n-row matrix.
 """
 
 from __future__ import annotations
@@ -54,7 +68,7 @@ import numpy as np
 from .config import DEFAULT_TOL, check_limits
 from .errors import PreconditionError, UnsupportedConfigurationError, VerificationError
 from .masks import TrigPolynomial, haar_mask
-from .mra import LSet, _l_set, _roll_columns, l_set
+from .mra import LSet, _l_set, _roll_columns, _translate_sum, l_set
 from .padic_core import PadicRational, character
 from .test_functions import (
     TestFunction,
@@ -119,8 +133,6 @@ def wavelet_masks(
             "the tap-window construction does not apply"
         )
     base = np.array([1.0 + 0j])
-    for _ in range(p**N - ls.size):
-        base = np.convolve(base, np.array([-1.0 + 0j, 1.0 + 0j]))
     for l in ls.members:
         root = character(PadicRational(p, l, M + N))
         base = np.convolve(base, np.array([-root, 1.0 + 0j]))
@@ -329,12 +341,13 @@ class WaveletVerification:
 
 
 class _SupportRows(NamedTuple):
-    """The level-0 generators' DFTs on the bins where they live.
+    """Generators' DFTs on the bins where they live.
 
-    bins are the kept DFT bins l of the frame (N, M+1), out of n = p^(N+M+1);
-    phases[i, k] = exp(-2 pi i bins[i] k / n) is a roll by k, k < p^(N+1);
-    spectra holds on those bins the DFT of phi on that frame (column 0),
-    of each wavelet, and of phi(x/p) (last column).
+    bins are the kept DFT bins l out of n; phases[i, k] =
+    exp(-2 pi i bins[i] k step / n) is a roll by k step; spectra holds the
+    generators' DFTs on those bins, one column each. For the wavelet checks
+    the grid is the frame (N, M+1), step is 1, k < p^(N+1), and the columns
+    are phi, each wavelet and phi(x/p).
     """
 
     n: int
@@ -350,21 +363,29 @@ def _spectra(ws: WaveletSet) -> np.ndarray:
     return np.fft.fft(np.column_stack([g.values for g in gens]), axis=0)
 
 
-def _support_rows(ws: WaveletSet, spectra: np.ndarray) -> _SupportRows:
-    """The _spectra of ws on their joint support.
+def _support_bins(spectra: np.ndarray) -> np.ndarray:
+    """The DFT bins where some column of spectra lives.
 
     A bin is kept when some generator's DFT there exceeds n eps times that
     generator's own largest bin; everything below is rounding noise of the
-    FFT. The floor is relative to each generator, so rescaling phi and the
-    wavelets by any constant keeps the same bins. For a valid set the
-    support is that of phi(x/p): p #L bins.
+    FFT. The floor is relative to each generator, so rescaling any of them
+    by a constant keeps the same bins.
     """
-    p, N = ws.prime, ws.support_exp
     n = spectra.shape[0]
     mags = np.abs(spectra)
     floor = n * np.finfo(float).eps * np.max(mags, axis=0)
-    bins = np.nonzero(np.any(mags > floor, axis=1))[0]
-    k = np.arange(p ** (N + 1))
+    return np.nonzero(np.any(mags > floor, axis=1))[0]
+
+
+def _support_rows(spectra: np.ndarray, count: int, step: int = 1) -> _SupportRows:
+    """spectra on their joint support, with the phases of count rolls by step.
+
+    For a valid wavelet set on the frame (N, M+1) the support of phi, the
+    wavelets and phi(x/p) is that of phi(x/p): p #L bins.
+    """
+    n = spectra.shape[0]
+    bins = _support_bins(spectra)
+    k = step * np.arange(count)
     phases = np.exp(-2j * np.pi * ((bins[:, None] * k[None, :]) % n) / n)
     return _SupportRows(n, bins, phases, spectra[bins])
 
@@ -375,26 +396,36 @@ def _translates(spectra: np.ndarray, phases: np.ndarray, count: int) -> np.ndarr
     return (spectra[:, :, None] * phases[:, None, :count]).reshape(rows, -1)
 
 
+def _solve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Minimum-norm lstsq of a x = b on support rows of an n-point grid.
+
+    The rank cut is the one lstsq takes on the full grid, eps max(n,
+    columns) times the largest singular value, not eps max(rows, columns):
+    the support has fewer rows, and a lower cut would keep directions that
+    the full-grid solve treats as noise.
+    """
+    rcond = np.finfo(float).eps * max(n, a.shape[1])
+    return np.linalg.lstsq(a, b, rcond=rcond)[0]
+
+
+def _sup(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v), initial=0.0))
+
+
 def _inclusion_residual(ws: WaveletSet, rows: _SupportRows) -> float:
     """Relative sup residual of phi(x/p - a) through the level-0 translates.
 
-    lstsq's rank cut is the one it takes on the full grid, eps max(n,
-    columns) times the largest singular value, not eps max(rows, columns):
-    the support has fewer rows, and a lower cut would keep directions that
-    the full-grid solve treats as noise. The space-domain residual is the
-    inverse DFT of the kept-bin residual.
+    The space-domain residual is the inverse DFT of the kept-bin residual.
     """
     gens = rows.spectra[:, :-1]
     norms = np.linalg.norm(gens, axis=0)
     gens = gens / np.where(norms > 0, norms, 1.0)
     span = _translates(gens, rows.phases, ws.prime**ws.support_exp)
     targets = rows.spectra[:, -1:] * rows.phases
-    rcond = np.finfo(float).eps * max(rows.n, span.shape[1])
-    sol, _, _, _ = np.linalg.lstsq(span, targets, rcond=rcond)
+    sol = _solve(span, targets, rows.n)
     misfit = np.zeros((targets.shape[1], rows.n), dtype=np.complex128)
     misfit[:, rows.bins] = (span @ sol - targets).T
-    residual = float(np.max(np.abs(np.fft.ifft(misfit)), initial=0.0))
-    return _relative(residual, float(np.max(np.abs(ws.phi.values), initial=0.0)))
+    return _relative(_sup(np.fft.ifft(misfit)), _sup(ws.phi.values))
 
 
 def _verify(ws: WaveletSet, tol: float) -> tuple[WaveletVerification, _SupportRows]:
@@ -404,7 +435,7 @@ def _verify(ws: WaveletSet, tol: float) -> tuple[WaveletVerification, _SupportRo
     before the inclusion solve builds its misfit.
     """
     spectra = _spectra(ws)
-    rows = _support_rows(ws, spectra)
+    rows = _support_rows(spectra, ws.prime ** (ws.support_exp + 1))
     v0 = 0.0
     fact = 0.0
     for i, (mk, psi) in enumerate(zip(ws.masks, ws.wavelets)):
@@ -566,22 +597,50 @@ class CoefficientTree:
     tol: float
 
 
-def _level_matrix(
-    funcs: list[TestFunction], N: int, j: int, frame: tuple[int, int]
-) -> np.ndarray:
-    """Columns p^(j/2) f(p^-j x - k/p^(N+j)), 0 <= k < p^(N+j), per f in funcs.
-
-    Column k is the dilate translated by k/p^N: a roll by k p^(frame N - N).
-    """
-    p = funcs[0].prime
-    gens = [reframe(dilate(f, -j, normalized=True), *frame) for f in funcs]
-    return np.hstack([_roll_columns(g.values, p ** (N + j), p ** (frame[0] - N)) for g in gens])
-
-
 def _working_frame(ws: WaveletSet, f: TestFunction, j1: int) -> tuple[int, int]:
     N = max(ws.support_exp, f.support_exp)
     M = max(ws.period_exp + 1 + j1, f.period_exp)
     return (N, M)
+
+
+def _level_spectra(funcs: list[TestFunction], j: int, frame: tuple[int, int]) -> np.ndarray:
+    """DFTs on frame of the level-j dilates p^(j/2) f(p^-j x), one column per f."""
+    gens = [reframe(dilate(f, -j, normalized=True), *frame).values for f in funcs]
+    return np.fft.fft(np.column_stack(gens), axis=0)
+
+
+def _fit(
+    spectra: np.ndarray, y: np.ndarray, count: int, step: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm lstsq of the DFT y through rolls by k step, k < count.
+
+    One set of rolls per column of spectra, solved on their support bins.
+    Returns the coefficients, one row per generator, and the DFT of the fit,
+    zero off those bins.
+    """
+    rows = _support_rows(spectra, count, step)
+    a = _translates(rows.spectra, rows.phases, count)
+    x = _solve(a, y[rows.bins], rows.n)
+    fit = np.zeros_like(y)
+    fit[rows.bins] = a @ x
+    return x.reshape(spectra.shape[1], -1), fit
+
+
+def _project(y: np.ndarray, spectrum: np.ndarray, count: int, step: int) -> np.ndarray:
+    """Orthogonal projection of the DFT y onto count rolls by step of one generator.
+
+    On the generator's support bins B the rolls are the rows G(s) z_s^k with
+    nodes z_s = exp(-2 pi i s step / n). When the nodes are distinct and
+    |B| <= count, that Vandermonde system has full row rank, so the rolls
+    span every vector on B and the projection is the band of y on B.
+    Otherwise it is the lstsq fit on B.
+    """
+    bins = _support_bins(spectrum)
+    if bins.size > count or np.unique(bins % (y.shape[0] // step)).size < bins.size:
+        return _fit(spectrum, y, count, step)[1]
+    out = np.zeros_like(y)
+    out[bins] = y[bins]
+    return out
 
 
 def analyze(
@@ -595,7 +654,12 @@ def analyze(
     At each level the orthogonal projection onto the truncated scaling
     space is subtracted and the complement is expanded over the wavelet
     translates; for f in the level-j1 truncated space the round trip with
-    synthesize is exact to tolerance.
+    synthesize is exact to tolerance. Everything runs on the DFT of f on
+    the working frame: a projection is the band on the bins where the
+    level's dilate of phi lives (or the lstsq on them when its translates
+    do not span them), the details are the minimum-norm lstsq of the
+    wavelet translates on their own support bins, and the residuals are
+    space-domain sup norms, read off one inverse DFT each.
     """
     if f.prime != ws.prime:
         raise PreconditionError(f"mixed primes {ws.prime} and {f.prime}")
@@ -603,33 +667,33 @@ def analyze(
         raise PreconditionError(f"need 0 <= j0 <= j1, got ({j0}, {j1})")
     frame = _working_frame(ws, f, j1)
     tol = ws.tol
-    check_limits(ws.prime, sum(frame), tol)
-    target = reframe(f, *frame).values
+    p, N = ws.prime, ws.support_exp
+    check_limits(p, sum(frame), tol)
+    # A translate by k/p^N on the working frame is a roll by k step.
+    step = p ** (frame[0] - N)
+    target = np.fft.fft(reframe(f, *frame).values)
 
-    N = ws.support_exp
-    v_top = _level_matrix([ws.phi], N, j1, frame)
-    c, _, _, _ = np.linalg.lstsq(v_top, target, rcond=None)
-    approx = v_top @ c
-    input_residual = float(np.max(np.abs(approx - target), initial=0.0))
+    g = _level_spectra([ws.phi], j1, frame)
+    y = _project(target, g, p ** (N + j1), step)
+    input_residual = _sup(np.fft.ifft(y - target))
 
     details: dict[int, np.ndarray] = {}
     split_residuals: dict[int, float] = {}
     for j in range(j1 - 1, j0 - 1, -1):
-        vj = _level_matrix([ws.phi], N, j, frame)
-        cj, _, _, _ = np.linalg.lstsq(vj, approx, rcond=None)
-        smooth = vj @ cj
-        residue = approx - smooth
-        wj = _level_matrix(ws.wavelets, N, j, frame)
-        dj, _, _, _ = np.linalg.lstsq(wj, residue, rcond=None)
-        split_residuals[j] = float(np.max(np.abs(wj @ dj - residue), initial=0.0))
-        details[j] = dj.reshape(ws.r, -1)
-        approx = smooth
-        c = cj
+        count = p ** (N + j)
+        g = _level_spectra([ws.phi], j, frame)
+        smooth = _project(y, g, count, step)
+        residue = y - smooth
+        details[j], fit = _fit(_level_spectra(ws.wavelets, j, frame), residue, count, step)
+        split_residuals[j] = _sup(np.fft.ifft(fit - residue))
+        y = smooth
+    # g is the level-j0 dilate of phi, and y lies in its span.
+    approx = _fit(g, y, p ** (N + j0), step)[0][0]
     return CoefficientTree(
-        prime=ws.prime,
+        prime=p,
         j0=j0,
         j1=j1,
-        approx=np.asarray(c),
+        approx=approx,
         details=details,
         input_residual=input_residual,
         split_residuals=split_residuals,
@@ -639,13 +703,19 @@ def analyze(
 
 
 def synthesize(tree: CoefficientTree, ws: WaveletSet) -> TestFunction:
-    """Rebuild the function a CoefficientTree describes."""
+    """Rebuild the function a CoefficientTree describes.
+
+    Each level is one FFT convolution per generator: the DFT of its dilate
+    times the DFT of its coefficients placed every step points.
+    """
     if tree.prime != ws.prime:
         raise PreconditionError(f"mixed primes {ws.prime} and {tree.prime}")
     frame = tree.frame
     check_limits(ws.prime, sum(frame), ws.tol)
-    N = ws.support_exp
-    acc = _level_matrix([ws.phi], N, tree.j0, frame) @ tree.approx
+    step = ws.prime ** (frame[0] - ws.support_exp)
+    phi = _level_spectra([ws.phi], tree.j0, frame)
+    acc = _translate_sum(phi, np.reshape(tree.approx, (1, -1)), step)
     for j, dj in tree.details.items():
-        acc = acc + _level_matrix(ws.wavelets, N, j, frame) @ dj.reshape(-1)
-    return TestFunction(ws.prime, frame[0], frame[1], acc)
+        wavelets = _level_spectra(ws.wavelets, j, frame)
+        acc += _translate_sum(wavelets, np.reshape(dj, (ws.r, -1)), step)
+    return TestFunction(ws.prime, frame[0], frame[1], np.fft.ifft(acc))

@@ -7,7 +7,9 @@ inner products as measure-weighted sums of point evaluations on a finer
 grid, polynomial products by schoolbook convolution, the depth product
 one point at a time, one refinement step by a tap-weighted sum of rolls or
 on the transform side, the transform's level matrices column by
-column through shift, dilate and reframe, the wavelet inclusion test
+column through shift, dilate and reframe and the multilevel transform as
+dense least-squares solves on them, the wavelet masks with the degree
+padded by a power of z - 1, the wavelet inclusion test
 and frame Gram on the full refined grid, one rolled column at a time,
 each wavelet's factorization and V_0 residuals from its own transforms,
 and span equality of two column systems by two dense least-squares
@@ -44,7 +46,7 @@ from padic_mra import (
     reframe,
     shift,
 )
-from padic_mra.padic_core import PadicRational
+from padic_mra.padic_core import PadicRational, character
 
 
 def oracle_fourier(f: TestFunction) -> np.ndarray:
@@ -199,6 +201,68 @@ def oracle_level_matrix(
             g = dilate(shift(f, PadicRational(p, k, N + j)), -j, normalized=True)
             cols.append(reframe(g, *frame).values)
     return np.column_stack(cols)
+
+
+def oracle_analyze(f: TestFunction, ws, j0: int, j1: int):
+    """The multilevel transform by dense lstsq on all grid rows, level by level.
+
+    Every level matrix is built column by column (oracle_level_matrix); each
+    projection and each detail expansion is numpy's default lstsq on the
+    full working frame.
+    """
+    from padic_mra import CoefficientTree
+
+    N = ws.support_exp
+    frame = (max(N, f.support_exp), max(ws.period_exp + 1 + j1, f.period_exp))
+    target = reframe(f, *frame).values
+    v_top = oracle_level_matrix([ws.phi], N, j1, frame)
+    c, _, _, _ = np.linalg.lstsq(v_top, target, rcond=None)
+    approx = v_top @ c
+    input_residual = float(np.max(np.abs(approx - target), initial=0.0))
+    details, split_residuals = {}, {}
+    for j in range(j1 - 1, j0 - 1, -1):
+        vj = oracle_level_matrix([ws.phi], N, j, frame)
+        c, _, _, _ = np.linalg.lstsq(vj, approx, rcond=None)
+        smooth = vj @ c
+        residue = approx - smooth
+        wj = oracle_level_matrix(ws.wavelets, N, j, frame)
+        dj, _, _, _ = np.linalg.lstsq(wj, residue, rcond=None)
+        split_residuals[j] = float(np.max(np.abs(wj @ dj - residue), initial=0.0))
+        details[j] = dj.reshape(ws.r, -1)
+        approx = smooth
+    return CoefficientTree(
+        prime=ws.prime, j0=j0, j1=j1, approx=c, details=details,
+        input_residual=input_residual, split_residuals=split_residuals,
+        frame=frame, tol=ws.tol,
+    )
+
+
+def oracle_synthesize(tree, ws) -> np.ndarray:
+    """Values of the function a tree describes, as dense level matrices times coefficients."""
+    N = ws.support_exp
+    acc = oracle_level_matrix([ws.phi], N, tree.j0, tree.frame) @ tree.approx
+    for j, dj in tree.details.items():
+        acc = acc + oracle_level_matrix(ws.wavelets, N, j, tree.frame) @ dj.reshape(-1)
+    return acc
+
+
+def oracle_padded_wavelet_masks(phi: TestFunction, lset) -> list[TrigPolynomial]:
+    """The wavelet masks with the degree padded to p^N by a power of z - 1.
+
+    n_nu(z) = z^((nu-1) p^N) (z - 1)^(p^N - #L) prod_{l in L} (z - chi_p(l/p^(M+N))),
+    each product expanded by schoolbook convolution.
+    """
+    p, (N, M) = phi.prime, phi.frame
+    roots = [1.0 + 0j] * (p**N - lset.size) + [
+        character(PadicRational(p, l, M + N)) for l in lset.members
+    ]
+    base = np.array([1.0 + 0j])
+    for root in roots:
+        base = oracle_poly_mul(base, np.array([-root, 1.0 + 0j]))
+    return [
+        TrigPolynomial(p, np.concatenate([np.zeros((nu - 1) * p**N), base]), scale=N)
+        for nu in range(1, p)
+    ]
 
 
 def _oracle_translates(funcs: list[TestFunction], count: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from padic_mra import (
     hat_from_mask,
     inner_product,
     kozyrev_set,
+    l_set,
     lincomb,
     mask_from_roots,
     norm_l2,
@@ -34,8 +35,10 @@ from padic_mra import (
     wavelet_masks,
 )
 from conftest import (
+    oracle_analyze,
     oracle_inclusion_residual,
-    oracle_level_matrix,
+    oracle_padded_wavelet_masks,
+    oracle_synthesize,
     oracle_v0_residual,
     oracle_wavelet_gram,
     oracle_wavelet_residuals,
@@ -49,13 +52,14 @@ from padic_mra.errors import (
 from padic_mra.generators import random_covering_mask, random_function
 from padic_mra import mra, test_functions, wavelets
 from padic_mra.wavelets import (
+    CoefficientTree,
     WaveletSet,
-    _level_matrix,
+    _level_spectra,
     _phi_spectrum,
+    _support_bins,
     _tap_combination,
     _v0_residual,
     _wavelet_residuals,
-    _working_frame,
     wavelet_functions,
 )
 from padic_mra.padic_core import PadicRational
@@ -146,13 +150,35 @@ class TestWaveletFunctions:
         assert frame_bounds(ws).ok
 
     def test_large_taps_verify(self):
-        # p = 2, N = 5, #L = 1: the wavelet taps reach 3e8, so an absolute
-        # residual of a correct set is far above tol
+        # p = 2, N = 5, #L = 1: the padded wavelet taps reach 3e8, so an
+        # absolute residual of a correct set is far above tol
         mask = random_covering_mask(np.random.default_rng(5), 2, 5, 1)
-        ws = build_wavelet_set(refinable_from_mask(mask, 1), mask)
+        phi = refinable_from_mask(mask, 1)
+        padded = oracle_padded_wavelet_masks(phi, l_set(phi))
+        ws = WaveletSet(phi, mask, wavelet_functions(phi, padded), padded)
         assert np.max(np.abs(ws.masks[0].taps)) > 1e8
         assert verify_wavelet_set(ws).ok
         assert frame_bounds(ws).ok
+        unpadded = build_wavelet_set(phi, mask)
+        assert verify_wavelet_set(unpadded).ok
+        assert frame_bounds(unpadded).ok
+
+    def test_masks_carry_no_padding_factor(self):
+        for p, N in ((2, 3), (2, 5), (3, 2), (5, 1)):
+            for ws in _covering_sets(p, N, seed=7 * p + N, draws=3):
+                size = l_set(ws.phi).size
+                for nu, mk in enumerate(ws.masks, start=1):
+                    assert mk.degree == (nu - 1) * p**N + size
+
+    def test_seven_roadmap_draws_verify(self):
+        # one stream, in this order; with the padding factor only two of
+        # them verified and p = 3, N = 5 raised VerificationError
+        rng = np.random.default_rng(5)
+        for p, N in ((2, 7), (2, 8), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2)):
+            mask = random_covering_mask(rng, p, N, 1)
+            ws = build_wavelet_set(refinable_from_mask(mask, 1), mask)
+            assert verify_wavelet_set(ws).ok, (p, N)
+            assert frame_bounds(ws).ok, (p, N)
 
     def test_fft_v0_residual_matches_brute_force(self, quartic_ws, haar3, rng):
         for ws in (quartic_ws, haar3):
@@ -303,14 +329,22 @@ class TestFrameBounds:
             assert rep.A * q - slack <= energy <= rep.B * q + slack
 
 
-def _covering_sets(p, N, seed, draws):
-    """Wavelet sets of seeded covering masks at M = 1; refusals are left out."""
+def _covering_sets(p, N, seed, draws, padded=False):
+    """Wavelet sets of seeded covering masks at M = 1; refusals are left out.
+
+    With padded=True the wavelet masks are the padded oracle's.
+    """
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(draws):
         mask = random_covering_mask(rng, p, N, 1)
         try:
-            out.append(build_wavelet_set(refinable_from_mask(mask, 1), mask))
+            phi = refinable_from_mask(mask, 1)
+            ws = build_wavelet_set(phi, mask)
+            if padded:
+                masks = oracle_padded_wavelet_masks(phi, l_set(phi))
+                ws = WaveletSet(phi, mask, wavelet_functions(phi, masks), masks)
+            out.append(ws)
         except (UnsupportedConfigurationError, VerificationError):
             pass
     return out
@@ -396,6 +430,8 @@ class TestSupportRows:
             quartic_ws,
             *_covering_sets(2, 5, seed=5, draws=3),
             *_covering_sets(3, 3, seed=3, draws=3),
+            *_covering_sets(2, 5, seed=5, draws=3, padded=True),
+            *_covering_sets(3, 3, seed=3, draws=3, padded=True),
         ]
         verdicts = [verify_wavelet_set(ws).ok for ws in sets]
         assert True in verdicts and False in verdicts
@@ -539,16 +575,75 @@ class TestTransform:
 
     @pytest.mark.parametrize("case", ["haar2", "haar3", "quartic_ws"])
     def test_level_matrices_match_per_column_oracle(self, case, request, rng):
+        # the transform on the support against dense solves on level
+        # matrices built column by column
         ws = request.getfixturevalue(case)
         for j1 in range(5):
-            f = random_function(rng, ws.prime, ws.support_exp, ws.period_exp)
-            frame = _working_frame(ws, f, j1)
-            N = ws.support_exp
-            for j in range(j1 + 1):
-                for funcs in ([ws.phi], ws.wavelets):
-                    assert np.array_equal(
-                        _level_matrix(funcs, N, j, frame), oracle_level_matrix(funcs, N, j, frame)
-                    )
+            for in_space in (True, False):
+                _assert_matches_dense_oracle(ws, _transform_input(ws, rng, 0, j1, in_space), 0, j1)
+
+    @pytest.mark.parametrize(
+        "case", ["haar-5", "quartic-1", "quartic-3", "kozyrev-3", "covering", "wide"]
+    )
+    def test_tree_matches_dense_oracle(self, case, quartic_mask, rng):
+        family, _, k = case.partition("-")
+        j1s, extra = range(4), 0
+        if family == "haar":
+            ws = build_wavelet_set(refinable_from_mask(haar_mask(5), 0), haar_mask(5))
+            j1s = range(3)
+        elif family == "quartic":
+            ws = build_wavelet_set(refinable_from_mask(quartic_mask, int(k)), quartic_mask)
+        elif family == "kozyrev":
+            ws = kozyrev_set(3)
+        elif family == "covering":
+            # #L < p^N: the wavelet masks have degree below the tap window
+            ws = next(w for w in _covering_sets(2, 3, seed=0, draws=4) if l_set(w.phi).size < 8)
+            j1s = range(3)
+        else:
+            # f lives on a larger ball than phi: the level translates do not
+            # span the support bins, so the projections take the lstsq
+            ws, extra = build_wavelet_set(refinable_from_mask(haar_mask(2), 0), haar_mask(2)), 1
+        for j1 in j1s:
+            for j0 in range(j1 + 1):
+                for in_space in (True, False):
+                    f = _transform_input(ws, rng, extra, j1, in_space, j0)
+                    _assert_matches_dense_oracle(ws, f, j0, j1)
+
+    @pytest.mark.parametrize("case", ["haar2", "quartic_ws", "wide"])
+    def test_lstsq_sees_only_support_bins(self, case, request, rng, monkeypatch):
+        ws = request.getfixturevalue("haar2" if case == "wide" else case)
+        j1 = 4
+        f = _transform_input(ws, rng, int(case == "wide"), j1, False)
+        frame = (f.support_exp, f.period_exp)
+        n = f.n
+        allowed = {
+            _support_bins(_level_spectra(funcs, j, frame)).size
+            for j in range(j1 + 1)
+            for funcs in ([ws.phi], ws.wavelets)
+        }
+        seen = []
+        real = np.linalg.lstsq
+
+        def spy(a, b, rcond=None):
+            seen.append((a.shape[0], rcond))
+            return real(a, b, rcond=rcond)
+
+        monkeypatch.setattr(wavelets.np.linalg, "lstsq", spy)
+        analyze(f, ws, j0=0, j1=j1)
+        # the details of each level and the level-j0 coefficients; on the
+        # larger ball also the lstsq projection of each level
+        assert len(seen) == (2 * j1 + 2 if case == "wide" else j1 + 1)
+        assert all(rows in allowed and rows < n for rows, _ in seen), (seen, allowed, n)
+        # the rank cut is no lower than the one lstsq takes on all n grid rows
+        assert all(c is not None and c >= np.finfo(float).eps * n for _, c in seen)
+
+    def test_round_trip_haar_j1_10(self, haar2, rng):
+        # n = 2048: dense level solves took about 2 s here
+        f = _transform_input(haar2, rng, 0, 10, True)
+        tree = analyze(f, haar2, j0=0, j1=10)
+        assert tree.input_residual < 1e-9
+        assert max(tree.split_residuals.values()) < 1e-9
+        assert allclose(f, synthesize(tree, haar2), tol=1e-9)
 
     def test_rejects_bad_level_order(self, haar2, rng):
         f = random_function(rng, 2, 1, 1)
@@ -559,3 +654,44 @@ class TestTransform:
         assert verify_wavelet_set(quartic_ws.normalize()).ok
         for psi in quartic_ws.normalize().wavelets:
             assert norm_l2(psi) == pytest.approx(1.0, abs=1e-12)
+
+
+def _transform_input(ws, rng, extra, j1, in_space, j0=0):
+    """A function on the working frame of levels j0..j1, support p^(N + extra).
+
+    In space: the dense oracle's synthesis of a random tree, so it lies in
+    the level-j1 truncated space. Otherwise a generic random function.
+    """
+    p, N = ws.prime, ws.support_exp
+    frame = (N + extra, ws.period_exp + 1 + j1)
+    if not in_space:
+        return random_function(rng, p, *frame)
+
+    def coeffs(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    tree = CoefficientTree(
+        p, j0, j1, coeffs(p ** (N + j0)),
+        {j: coeffs(ws.r, p ** (N + j)) for j in range(j0, j1)},
+        0.0, {}, frame, ws.tol,
+    )
+    return TestFunction(p, *frame, oracle_synthesize(tree, ws))
+
+
+def _assert_matches_dense_oracle(ws, f, j0, j1):
+    got, want = analyze(f, ws, j0=j0, j1=j1), oracle_analyze(f, ws, j0, j1)
+    scale = max(1.0, float(np.max(np.abs(f.values))))
+
+    def close(a, b):
+        return np.max(np.abs(a - b), initial=0.0) <= 1e-10 * max(1.0, np.max(np.abs(b), initial=0.0))
+
+    assert got.frame == want.frame
+    assert close(got.approx, want.approx)
+    assert set(got.details) == set(want.details)
+    for j in want.details:
+        assert got.details[j].shape == want.details[j].shape
+        assert close(got.details[j], want.details[j])
+        assert abs(got.split_residuals[j] - want.split_residuals[j]) <= 1e-10 * scale
+    assert abs(got.input_residual - want.input_residual) <= 1e-10 * scale
+    rebuilt = synthesize(got, ws).values
+    assert np.max(np.abs(rebuilt - oracle_synthesize(got, ws))) <= 1e-10 * scale
