@@ -10,8 +10,8 @@ verdicts backed by residuals:
     phi(x/p - k/p^(N+1)) by least squares over the full refined grid.
     The sup-norm residual of that identity is the refinability authority.
   * shift_mask: express a translate phi(. - b) through phi, either at the
-    same scale (coefficients on the translates phi(. - k/p^N), solved on
-    the L-set character system and then verified pointwise) or through the
+    same scale (coefficients on the translates phi(. - k/p^N), fitted on
+    the DFT bins where phi lives and then verified pointwise) or through the
     refined-scale window phi(x/p - k/p^(N+1)), 0 <= k < p^(N+1). The window
     suffices whenever any refined expansion exists: translates with
     |a|_p > p^(N+1) vanish on B_N, so a minimal expansion never needs them.
@@ -33,8 +33,8 @@ window once and solves the fit together with all p^N axiom-(a) expansions
 as one block of right-hand sides. Gram scans over translates are circular
 correlations, computed with one inverse FFT of |phi-hat|^2. check_mra
 transforms phi once and hands that transform to the mean, the L set and
-the orthonormality stages. Every translate matrix is one index gather,
-_roll_columns.
+the orthonormality stages. The translate kernels and the one least-squares
+solve, with its rank cut, are in _translates.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ import numpy as np
 from .config import DEFAULT_TOL, check_limits
 from .errors import NotRefinableError, PreconditionError
 from .masks import TrigPolynomial
-from .padic_core import PadicRational, character
+from ._translates import _fit, _roll_columns, _solve, _sup
+from .padic_core import PadicRational
 from .test_functions import (
     TestFunction,
-    common_frame,
     dilate,
     fourier,
     norm_l2,
@@ -79,14 +79,6 @@ def _require_frame(f: TestFunction) -> tuple[int, int]:
             f"frame ({N}, {M}) must have N, M >= 0; re-frame first"
         )
     return N, M
-
-
-def _normalize_frame(f: TestFunction) -> TestFunction:
-    """Lift negative frame components to zero (pointwise-neutral)."""
-    N, M = f.frame
-    if N < 0 or M < 0:
-        return reframe(f, max(N, 0), max(M, 0))
-    return f
 
 
 # --------------------------------------------------------------------------
@@ -143,24 +135,6 @@ def _l_set(phi: TestFunction, hat: np.ndarray, tol: float) -> LSet:
 # Refinement-equation fitting
 
 
-def _roll_columns(values: np.ndarray, count: int, step: int = 1) -> np.ndarray:
-    """Matrix whose column k is np.roll(values, k * step), for 0 <= k < count."""
-    idx = np.arange(values.shape[0])
-    return values[(idx[:, None] - step * np.arange(count)[None, :]) % values.shape[0]]
-
-
-def _translate_sum(spectra: np.ndarray, coeffs: np.ndarray, step: int = 1) -> np.ndarray:
-    """DFT of sum_i sum_k coeffs[i, k] np.roll(g_i, k * step), spectra[:, i] the DFT of g_i.
-
-    Each row of coeffs is placed every step points of a zero vector, so the
-    sum over its generator's rolls is one FFT convolution.
-    """
-    count = coeffs.shape[1]
-    placed = np.zeros((spectra.shape[0], coeffs.shape[0]), dtype=np.complex128)
-    placed[: count * step : step] = coeffs.T
-    return np.sum(spectra * np.fft.fft(placed, axis=0), axis=1)
-
-
 def _window_solve(phi: TestFunction, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares taps on the refined window for every column of targets.
 
@@ -169,8 +143,9 @@ def _window_solve(phi: TestFunction, targets: np.ndarray) -> tuple[np.ndarray, n
     every value of the refined grid, so residuals there are the full story.
     g vanishes off p Z, so generator k only meets grid rows a = k (mod p):
     the window splits into p identical blocks G[i, j] = g(p (i - j)), one
-    per residue r, pairing rows a = r + p i with taps k = r + p j. One lstsq
-    call factors G once for every residue and every column of targets.
+    per residue r, pairing rows a = r + p i with taps k = r + p j. One solve
+    factors G once for every residue and every column of targets, with the
+    rank cut of the full window on all p^(N+M+1) rows.
     Returns the taps (p^(N+1) x columns) and each column's sup residual.
     """
     N, M = phi.frame
@@ -180,7 +155,7 @@ def _window_solve(phi: TestFunction, targets: np.ndarray) -> tuple[np.ndarray, n
     rows, width = block.shape[0], targets.shape[1]
     # Column r * width + c of rhs holds the rows a = r (mod p) of target c.
     rhs = targets.reshape(rows, p * width)
-    taps, _, _, _ = np.linalg.lstsq(block, rhs, rcond=None)
+    taps = _solve(block, rhs, p ** (N + M + 1))
     misfit = np.abs(block @ taps - rhs).reshape(rows * p, width)
     return taps.reshape(p ** (N + 1), width), np.max(misfit, axis=0, initial=0.0)
 
@@ -198,14 +173,6 @@ class MaskRecovery:
         return self.residual <= self.tol
 
 
-def _fit_mask(phi: TestFunction, tol: float) -> MaskRecovery:
-    N, M = phi.frame
-    target = reframe(phi, N, M + 1).values
-    taps, residuals = _window_solve(phi, target[:, None])
-    mask = TrigPolynomial.from_taps(phi.prime, taps[:, 0], scale=N)
-    return MaskRecovery(mask, float(residuals[0]), tol)
-
-
 def recover_mask(phi: TestFunction, tol: float = DEFAULT_TOL) -> MaskRecovery:
     """Fit the refinement equation; raise NotRefinableError when it fails.
 
@@ -221,7 +188,9 @@ def recover_mask(phi: TestFunction, tol: float = DEFAULT_TOL) -> MaskRecovery:
             f"phi integrates to {hat0:.3e}; a scaling candidate needs "
             "a nonzero mean"
         )
-    fit = _fit_mask(phi, tol)
+    taps, residuals = _window_solve(phi, reframe(phi, N, M + 1).values[:, None])
+    mask = TrigPolynomial.from_taps(phi.prime, taps[:, 0], scale=N)
+    fit = MaskRecovery(mask, float(residuals[0]), tol)
     if not fit.ok:
         raise NotRefinableError(fit.residual, tol)
     return fit
@@ -236,8 +205,9 @@ class ShiftMaskSolution:
     """Best expansion of phi(. - b), with system and pointwise residuals.
 
     mode 'same_scale': phi(. - b) ~ sum_{k < p^N} alpha_k phi(. - k/p^N),
-    with alpha fitted on the character system over the L set and the
-    verdict taken from the pointwise identity.
+    with alpha the least-squares fit on the DFT bins where phi lives; the
+    system residual is the sup misfit of the transforms, p^-M times the
+    DFT misfit, and the verdict is taken from the pointwise identity.
     mode 'refined': phi(. - b) ~ sum_{k < p^(N+1)} h_k phi(x/p - k/p^(N+1));
     here the system is the pointwise identity itself.
     """
@@ -270,26 +240,12 @@ def shift_mask(
         raise PreconditionError(f"|b|_p = {b.norm():g} exceeds p^N = {p**N}")
 
     if same_scale:
-        members = np.array(l_set(phi, tol).members, dtype=np.int64)
-        n = p ** (N + M)
-        k = np.arange(p**N)
-        # System: m_b(l / p^(M+N)) = chi_p(b l / p^M) for l in L.
-        system = np.exp(2j * np.pi * np.outer(members, k) / n)
-        rhs = np.array(
-            [character(b * PadicRational(p, int(l), M)) for l in members],
-            dtype=np.complex128,
-        )
-        if members.size:
-            alpha, _, _, _ = np.linalg.lstsq(system, rhs, rcond=None)
-            sys_res = float(np.max(np.abs(system @ alpha - rhs), initial=0.0))
-        else:
-            alpha = np.zeros(p**N, dtype=np.complex128)
-            sys_res = 0.0
-        spread = _translate_sum(np.fft.fft(phi.values)[:, None], alpha[None, :])
-        candidate = TestFunction(p, N, M, np.fft.ifft(spread))
-        target = shift(phi, b)
-        c2, t2 = common_frame(candidate, target)
-        pw_res = float(np.max(np.abs(c2.values - t2.values), initial=0.0))
+        # |b|_p <= p^N keeps phi(. - b) on phi's frame, where a translate by
+        # k/p^N is a roll by k.
+        target = np.fft.fft(shift(phi, b).values)
+        (alpha,), fit = _fit(np.fft.fft(phi.values)[:, None], target, p**N)
+        misfit = fit - target
+        sys_res, pw_res = float(p) ** (-M) * _sup(misfit), _sup(np.fft.ifft(misfit))
         mask = TrigPolynomial(p, alpha, scale=None)
         return ShiftMaskSolution(b, "same_scale", alpha, mask, sys_res, pw_res, tol)
 
@@ -461,7 +417,7 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
     For an orthonormal phi that meets the criterion, Haar equivalence is
     the set equality of L with the unit-ball residues; no solve is needed.
     """
-    phi = _normalize_frame(phi)
+    phi = reframe(phi, max(phi.support_exp, 0), max(phi.period_exp, 0))
     N, M = phi.frame
     p = phi.prime
     check_limits(p, N + M + 1, tol)

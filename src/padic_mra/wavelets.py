@@ -34,17 +34,11 @@ expanded taps of a supplied mask can be of any size.
 Frame quality is read off the Gram matrix of the translate system: on the
 span, sum_i |<f, g_i>|^2 sits between A and B times ||f||^2 exactly when A
 and B are the extreme nonzero Gram eigenvalues. The inclusion test and the
-Gram are solved on the support rows, not on the grid: a roll by k of a
-vector of n = p^(N+M+1) values is the phase exp(-2 pi i l k / n) on its DFT
-bin l, and only the bins where phi(x/p), phi or some wavelet has a
-transform above rounding are kept, p #L of them for a valid set. The DFT
-is unitary up to sqrt(n) and every dropped row is rounding noise in every
-column, so in exact arithmetic the solve and the spectrum are those of the
-full grid, and the solve keeps the full grid's rank cut. Their rounding
-differs, which can move a residual that sits at tol across it. The one
-batched DFT that picks the support rows also gives the factorization and
-V_0 residuals, so verify_wavelet_set and frame_bounds transform each
-generator once.
+Gram are solved on the support rows of _translates, the DFT bins where
+phi(x/p), phi or some wavelet lives: p #L of them for a valid set. The one
+batched DFT that picks those bins also gives the factorization and V_0
+residuals, so verify_wavelet_set and frame_bounds transform each generator
+once.
 
 The multilevel transform runs on support rows too. A translate by
 k/p^(N+j) before the dilation by p^-j is one by k/p^N after it, a roll by
@@ -53,22 +47,32 @@ the DFT of one dilated generator. V_j's projection is the band of the
 input's DFT on the bins where the level-j dilate of phi lives, exact when
 those bins carry distinct nodes and number at most p^(N+j) (the same
 Vandermonde count), and the lstsq on them otherwise; the details are the
-minimum-norm lstsq of the W_j translates on their own support bins, with
-the full grid's rank cut. Synthesis is one FFT convolution per generator
-and level. No step builds an n-row matrix.
+minimum-norm lstsq of the W_j translates on their own support bins.
+Synthesis is one FFT convolution per generator and level. No step builds
+an n-row matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_TOL, check_limits
 from .errors import PreconditionError, UnsupportedConfigurationError, VerificationError
+from ._translates import (
+    _SupportRows,
+    _fit,
+    _project,
+    _roll_columns,
+    _solve,
+    _sup,
+    _support_rows,
+    _translate_sum,
+    _translates,
+)
 from .masks import TrigPolynomial, haar_mask
-from .mra import LSet, _l_set, _roll_columns, _translate_sum, l_set
+from .mra import LSet, _l_set, l_set
 from .padic_core import PadicRational, character
 from .test_functions import (
     TestFunction,
@@ -106,7 +110,6 @@ def wavelet_masks(
     phi: TestFunction,
     m0: TrigPolynomial,
     tol: float = DEFAULT_TOL,
-    lset: LSet | None = None,
 ) -> list[TrigPolynomial]:
     """The p-1 wavelet masks for phi, or a refusal.
 
@@ -115,13 +118,17 @@ def wavelet_masks(
     guaranteed to produce a wavelet set, though user-supplied masks can
     still be verified downstream.
     """
+    return _window_masks(phi, m0, l_set(phi, tol))
+
+
+def _window_masks(phi: TestFunction, m0: TrigPolynomial, ls: LSet) -> list[TrigPolynomial]:
+    """wavelet_masks given phi's L set."""
     N, M = phi.frame
     p = phi.prime
     if m0.scale != N:
         raise PreconditionError(
             f"mask scale {m0.scale} does not match the frame support {N}"
         )
-    ls = lset if lset is not None else l_set(phi, tol)
     if not ls.within_bound:
         raise UnsupportedConfigurationError(
             f"#L = {ls.size} exceeds p^N = {ls.bound}; no wavelet-mask "
@@ -273,6 +280,19 @@ class WaveletSet:
     masks: list[TrigPolynomial]
     tol: float = DEFAULT_TOL
 
+    def __post_init__(self) -> None:
+        # The checks pair wavelet i with mask i and read every wavelet on the
+        # frame (N, M+1) of phi's prime; a set that breaks that is refused.
+        p, frame = self.prime, (self.support_exp, self.period_exp + 1)
+        if len(self.wavelets) != len(self.masks):
+            raise PreconditionError(f"{len(self.wavelets)} wavelets but {len(self.masks)} masks")
+        for i, (psi, mk) in enumerate(zip(self.wavelets, self.masks)):
+            if (psi.prime, psi.frame, mk.prime) != (p, frame, p):
+                raise PreconditionError(
+                    f"wavelet {i} (prime {psi.prime}, frame {psi.frame}) or its mask "
+                    f"(prime {mk.prime}) does not fit prime {p} and frame {frame}"
+                )
+
     @property
     def prime(self) -> int:
         return self.phi.prime
@@ -312,7 +332,7 @@ def build_wavelet_set(
     check_limits(phi.prime, phi.support_exp + phi.period_exp + 1, tol)
     f0 = _phi_spectrum(phi)
     try:
-        masks = wavelet_masks(phi, m0, tol, lset=_l_set(phi, _hat(phi, f0), tol))
+        masks = _window_masks(phi, m0, _l_set(phi, _hat(phi, f0), tol))
     except UnsupportedConfigurationError:
         # The refusal's traceback keeps this frame alive for as long as the
         # caller keeps the exception; it need not keep the spectrum too.
@@ -340,76 +360,14 @@ class WaveletVerification:
         )
 
 
-class _SupportRows(NamedTuple):
-    """Generators' DFTs on the bins where they live.
-
-    bins are the kept DFT bins l out of n; phases[i, k] =
-    exp(-2 pi i bins[i] k step / n) is a roll by k step; spectra holds the
-    generators' DFTs on those bins, one column each. For the wavelet checks
-    the grid is the frame (N, M+1), step is 1, k < p^(N+1), and the columns
-    are phi, each wavelet and phi(x/p).
-    """
-
-    n: int
-    bins: np.ndarray
-    phases: np.ndarray
-    spectra: np.ndarray
-
-
 def _spectra(ws: WaveletSet) -> np.ndarray:
-    """One batched DFT on the frame (N, M+1): phi, each wavelet, phi(x/p)."""
+    """One batched DFT on the frame (N, M+1): phi, each wavelet, phi(x/p).
+
+    For a valid set their joint support is that of phi(x/p): p #L bins.
+    """
     N, M = ws.support_exp, ws.period_exp
     gens = [reframe(ws.phi, N, M + 1), *ws.wavelets, reframe(dilate(ws.phi, -1), N, M + 1)]
     return np.fft.fft(np.column_stack([g.values for g in gens]), axis=0)
-
-
-def _support_bins(spectra: np.ndarray) -> np.ndarray:
-    """The DFT bins where some column of spectra lives.
-
-    A bin is kept when some generator's DFT there exceeds n eps times that
-    generator's own largest bin; everything below is rounding noise of the
-    FFT. The floor is relative to each generator, so rescaling any of them
-    by a constant keeps the same bins.
-    """
-    n = spectra.shape[0]
-    mags = np.abs(spectra)
-    floor = n * np.finfo(float).eps * np.max(mags, axis=0)
-    return np.nonzero(np.any(mags > floor, axis=1))[0]
-
-
-def _support_rows(spectra: np.ndarray, count: int, step: int = 1) -> _SupportRows:
-    """spectra on their joint support, with the phases of count rolls by step.
-
-    For a valid wavelet set on the frame (N, M+1) the support of phi, the
-    wavelets and phi(x/p) is that of phi(x/p): p #L bins.
-    """
-    n = spectra.shape[0]
-    bins = _support_bins(spectra)
-    k = step * np.arange(count)
-    phases = np.exp(-2j * np.pi * ((bins[:, None] * k[None, :]) % n) / n)
-    return _SupportRows(n, bins, phases, spectra[bins])
-
-
-def _translates(spectra: np.ndarray, phases: np.ndarray, count: int) -> np.ndarray:
-    """Columns spectra[:, i] * phases[:, k], k < count, generator by generator."""
-    rows = spectra.shape[0]
-    return (spectra[:, :, None] * phases[:, None, :count]).reshape(rows, -1)
-
-
-def _solve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Minimum-norm lstsq of a x = b on support rows of an n-point grid.
-
-    The rank cut is the one lstsq takes on the full grid, eps max(n,
-    columns) times the largest singular value, not eps max(rows, columns):
-    the support has fewer rows, and a lower cut would keep directions that
-    the full-grid solve treats as noise.
-    """
-    rcond = np.finfo(float).eps * max(n, a.shape[1])
-    return np.linalg.lstsq(a, b, rcond=rcond)[0]
-
-
-def _sup(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v), initial=0.0))
 
 
 def _inclusion_residual(ws: WaveletSet, rows: _SupportRows) -> float:
@@ -451,12 +409,10 @@ def verify_wavelet_set(ws: WaveletSet, tol: float | None = None) -> WaveletVerif
     Inclusion: every refined generator phi(x/p - a), a in I_p with
     |a|_p <= p^(N+1), must be expressible through the translates of phi and
     of the wavelets by I_p points of norm at most p^N. The system is solved
-    on the support rows, the DFT bins where some generator lives (p #L of
-    them for a valid set), each translate a phase times its generator's
-    spectrum. The span columns are scaled to unit norm before the solve, so
-    that lstsq's rank cut does not drop the phi columns beside much larger
-    wavelet columns, and the residual is the space-domain sup residual
-    relative to the largest target value.
+    on the support rows, its span columns scaled to unit norm so that the
+    rank cut does not drop the phi columns beside much larger wavelet
+    columns; the residual is the space-domain sup residual relative to the
+    largest target value.
     """
     tol = ws.tol if tol is None else tol
     check_limits(ws.prime, ws.support_exp + ws.period_exp + 1, tol)
@@ -513,10 +469,8 @@ def frame_bounds(ws: WaveletSet, tol: float | None = None) -> FrameReport:
     lam_max = float(spectrum[-1]) if spectrum.size else 0.0
     if lam_max <= 0:
         raise PreconditionError("degenerate wavelet set: Gram matrix is zero")
-    floor = _RANK_REL * lam_max
-    above = spectrum[spectrum > floor]
-    if above.size == 0:
-        raise PreconditionError("degenerate wavelet set: no spectral mass")
+    # lam_max > 0 clears its own floor, so above is never empty
+    above = spectrum[spectrum > _RANK_REL * lam_max]
     return FrameReport(
         A=float(above[0]),
         B=lam_max,
@@ -537,10 +491,11 @@ def kozyrev_set(p: int, tol: float = DEFAULT_TOL) -> WaveletSet:
     """The classical character wavelets psi_nu(x) = chi_p(nu x / p) Omega(|x|).
 
     Built as tap combinations over the ball indicator with taps
-    g_k = exp(2 pi i nu k / p), then verified: unit norms, pairwise
-    orthogonality, orthogonality to the ball translates, and inclusion,
-    the refined ball translates phi(x/p - a) lying in the span of phi and
-    the wavelets (verify_wavelet_set's inclusion residual within tol).
+    g_k = exp(2 pi i nu k / p), then verified through frame_bounds: the set
+    must be ok (orthogonal to the ball translates, and the refined ball
+    translates phi(x/p - a) in the span of phi and the wavelets), and at
+    N = 0 each wavelet has one translate, so the Gram is the wavelets' inner
+    products and every eigenvalue within tol of 1 makes them orthonormal.
     """
     check_limits(p, 1, tol)
     phi = omega(p, 0, 0)
@@ -552,21 +507,13 @@ def kozyrev_set(p: int, tol: float = DEFAULT_TOL) -> WaveletSet:
     ]
     psis = _wavelet_functions(phi, masks, tol, _phi_spectrum(phi))
     ws = WaveletSet(phi, haar_mask(p), psis, masks, tol)
-
-    for i, psi in enumerate(psis):
-        if abs(norm_l2(psi) - 1.0) > tol:
-            raise VerificationError(f"character wavelet {i} is not unit norm")
-        for jj in range(i + 1, len(psis)):
-            ip = float(p) ** (-1) * np.vdot(psis[jj].values, psi.values)
-            if abs(ip) > tol:
-                raise VerificationError(
-                    f"character wavelets {i} and {jj} are not orthogonal"
-                )
-    inclusion = _verify(ws, tol)[0].inclusion_residual
-    if inclusion > tol:
+    report = frame_bounds(ws, tol)
+    spread = _sup(report.spectrum - 1.0)
+    if not report.ok or spread > tol:
         raise VerificationError(
-            f"character wavelets and the ball translates do not span the "
-            f"refined ball translates (residual {inclusion:.3e})"
+            f"character wavelets are not an orthonormal basis of W_0 "
+            f"(inclusion {report.inclusion_residual:.3e}, "
+            f"max |lambda - 1| {spread:.3e})"
         )
     return ws
 
@@ -598,49 +545,13 @@ class CoefficientTree:
 
 
 def _working_frame(ws: WaveletSet, f: TestFunction, j1: int) -> tuple[int, int]:
-    N = max(ws.support_exp, f.support_exp)
-    M = max(ws.period_exp + 1 + j1, f.period_exp)
-    return (N, M)
+    return (max(ws.support_exp, f.support_exp), max(ws.period_exp + 1 + j1, f.period_exp))
 
 
 def _level_spectra(funcs: list[TestFunction], j: int, frame: tuple[int, int]) -> np.ndarray:
     """DFTs on frame of the level-j dilates p^(j/2) f(p^-j x), one column per f."""
     gens = [reframe(dilate(f, -j, normalized=True), *frame).values for f in funcs]
     return np.fft.fft(np.column_stack(gens), axis=0)
-
-
-def _fit(
-    spectra: np.ndarray, y: np.ndarray, count: int, step: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm lstsq of the DFT y through rolls by k step, k < count.
-
-    One set of rolls per column of spectra, solved on their support bins.
-    Returns the coefficients, one row per generator, and the DFT of the fit,
-    zero off those bins.
-    """
-    rows = _support_rows(spectra, count, step)
-    a = _translates(rows.spectra, rows.phases, count)
-    x = _solve(a, y[rows.bins], rows.n)
-    fit = np.zeros_like(y)
-    fit[rows.bins] = a @ x
-    return x.reshape(spectra.shape[1], -1), fit
-
-
-def _project(y: np.ndarray, spectrum: np.ndarray, count: int, step: int) -> np.ndarray:
-    """Orthogonal projection of the DFT y onto count rolls by step of one generator.
-
-    On the generator's support bins B the rolls are the rows G(s) z_s^k with
-    nodes z_s = exp(-2 pi i s step / n). When the nodes are distinct and
-    |B| <= count, that Vandermonde system has full row rank, so the rolls
-    span every vector on B and the projection is the band of y on B.
-    Otherwise it is the lstsq fit on B.
-    """
-    bins = _support_bins(spectrum)
-    if bins.size > count or np.unique(bins % (y.shape[0] // step)).size < bins.size:
-        return _fit(spectrum, y, count, step)[1]
-    out = np.zeros_like(y)
-    out[bins] = y[bins]
-    return out
 
 
 def analyze(

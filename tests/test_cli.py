@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from padic_mra import TestFunction, TrigPolynomial, haar_mask, omega, serialize
+from padic_mra import TestFunction, TrigPolynomial, haar_mask, omega, reframe, serialize
 from padic_mra.cli import main
 from padic_mra.generators import random_function
 from padic_mra.wavelets import WaveletSet
@@ -104,6 +104,19 @@ class TestInputFiles:
         args = [str(p19 / a) if a.endswith(".json") else a for a in argv]
         assert main(args) == 2
         assert "exceeds the supported maximum" in capsys.readouterr().err
+
+    def test_wavelet_without_mask_is_refused(self, tmp_path, capsys):
+        main(["haar", "--p", "3", "--out", str(tmp_path / "haar.json")])
+        doc = json.loads((tmp_path / "haar.json").read_text())["wavelet_set"]
+        # phi itself as a third wavelet, with still two masks
+        phi = serialize.function_from_json(doc["phi"])
+        doc["wavelets"].append(serialize.function_to_json(reframe(phi, 0, 1)))
+        (tmp_path / "ws.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["frame", "--ws", str(tmp_path / "ws.json")]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "3 wavelets but 2 masks" in captured.err
 
     @pytest.fixture(scope="class")
     def nan_files(self, tmp_path_factory):

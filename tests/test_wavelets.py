@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,12 +53,12 @@ from padic_mra.errors import (
 )
 from padic_mra.generators import random_covering_mask, random_function
 from padic_mra import mra, test_functions, wavelets
+from padic_mra._translates import _support_bins
 from padic_mra.wavelets import (
     CoefficientTree,
     WaveletSet,
     _level_spectra,
     _phi_spectrum,
-    _support_bins,
     _tap_combination,
     _v0_residual,
     _wavelet_residuals,
@@ -408,6 +410,26 @@ class TestSupportRows:
             dropped = WaveletSet(ws.phi, ws.scaling_mask, [], [], ws.tol)
             assert verify_wavelet_set(dropped).inclusion_residual >= 0.1
 
+    def test_dropped_wavelet_follows_the_count(self):
+        # W_0 lives on (p - 1) #L bins and r' wavelets bring r' p^N
+        # translates, so inclusion survives dropping the last wavelet
+        # exactly when (r - 1) p^N >= (p - 1) #L
+        sides = []
+        for p, N in [(2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]:
+            for ws in _covering_sets(p, N, seed=5, draws=8):
+                assert verify_wavelet_set(ws).ok
+                dropped = WaveletSet(
+                    ws.phi, ws.scaling_mask, ws.wavelets[:-1], ws.masks[:-1], ws.tol
+                )
+                counted = (ws.r - 1) * p**N >= (p - 1) * l_set(ws.phi).size
+                got = verify_wavelet_set(dropped).inclusion_residual <= DEFAULT_TOL
+                assert got == counted, (p, N, l_set(ws.phi).size)
+                sides.append(counted)
+                want = oracle_inclusion_residual(dropped)
+                if not DEFAULT_TOL / 100 < want < 100 * DEFAULT_TOL:
+                    assert got == (want <= DEFAULT_TOL), (p, N, want)
+        assert True in sides and False in sides
+
     def test_component_off_the_support_is_rejected(self, quartic_ws):
         ws = quartic_ws
         psi = ws.wavelets[0]
@@ -499,6 +521,75 @@ class TestSupportRows:
         ):
             with pytest.raises(PreconditionError, match="grid cap"):
                 call()
+
+
+class TestWaveletSetShape:
+    """Wavelet i pairs with mask i, on phi's prime and the frame (N, M+1)."""
+
+    def test_wavelet_without_mask_is_refused(self, haar3):
+        extra = reframe(haar3.phi, 0, 1)
+        with pytest.raises(PreconditionError, match="3 wavelets but 2 masks"):
+            WaveletSet(haar3.phi, haar3.scaling_mask, [*haar3.wavelets, extra], haar3.masks)
+        # given a mask of its own, the extra wavelet is checked against V_0
+        ws = WaveletSet(
+            haar3.phi,
+            haar3.scaling_mask,
+            [*haar3.wavelets, extra],
+            [*haar3.masks, haar_mask(3)],
+        )
+        rep = verify_wavelet_set(ws)
+        assert not rep.ok
+        assert rep.v0_residual > 0.5
+
+    @pytest.mark.parametrize("bad", ["frame", "wavelet-prime", "mask-prime"])
+    def test_mismatched_member_is_refused(self, haar3, bad):
+        psis, masks = list(haar3.wavelets), list(haar3.masks)
+        if bad == "frame":
+            psis[0] = reframe(psis[0], 1, 1)
+        elif bad == "wavelet-prime":
+            psis[0] = TestFunction(5, 0, 1, np.ones(5))
+        else:
+            masks[0] = TrigPolynomial(5, masks[0].coeffs, scale=0)
+        with pytest.raises(PreconditionError):
+            WaveletSet(haar3.phi, haar3.scaling_mask, psis, masks)
+
+
+class TestLeastSquares:
+    def test_one_lstsq_in_the_library(self):
+        src = Path(wavelets.__file__).parent
+        calls = {f.name: f.read_text().count("np.linalg.lstsq(") for f in src.glob("*.py")}
+        assert {name: n for name, n in calls.items() if n} == {"_translates.py": 1}
+
+    def test_every_solve_takes_the_full_grid_rank_cut(
+        self, quartic_phi, quartic_ws, rng, monkeypatch
+    ):
+        p, (N, M) = 2, quartic_phi.frame
+        b = PadicRational(2, 3, 2)
+        # the working frame of analyze at j1 = 2 is (N, M + 3)
+        f = random_function(rng, 2, N, M + 3)
+        refined = p ** (N + M + 1)
+        entry_points = [
+            (lambda: check_mra(quartic_phi), refined),
+            (lambda: recover_mask(quartic_phi), refined),
+            (lambda: shift_mask(quartic_phi, b, same_scale=False), refined),
+            (lambda: shift_mask(quartic_phi, b), p ** (N + M)),
+            (lambda: verify_wavelet_set(quartic_ws), refined),
+            (lambda: frame_bounds(quartic_ws), refined),
+            (lambda: analyze(f, quartic_ws, j0=0, j1=2), f.n),
+        ]
+        seen = []
+        real = np.linalg.lstsq
+
+        def spy(a, b, rcond=None):
+            seen.append(rcond)
+            return real(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        for call, n in entry_points:
+            seen.clear()
+            call()
+            assert seen
+            assert all(c is not None and c >= np.finfo(float).eps * n for c in seen), (n, seen)
 
 
 class TestKozyrev:
