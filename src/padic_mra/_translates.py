@@ -1,13 +1,13 @@
 """Kernels for systems of translates on a cyclic grid of n points.
 
 V_0, the refinement window, W_0 and the wavelet frame are all systems of
-translates, a translate by k/p^N being a roll by k step. On the DFT a roll
-is the phase exp(-2 pi i s k step / n) on bin s, so count rolls of one
-generator are a Vandermonde system in the nodes of its support bins,
-scaled by its spectrum. Systems are built by an index gather
-(_roll_columns) or on the support bins (_support_rows), where every
-dropped row is rounding noise in every column; the DFT is unitary up to
-sqrt(n), so in exact arithmetic a solve there is the full grid's. Its
+translates, a translate by k/p^N being a roll by k step. On a transform
+(test_functions) a roll is the phase exp(2 pi i s k step / n) on bin s,
+so count rolls of one generator are a Vandermonde system in the nodes of
+its support bins, scaled by its spectrum. Systems are built by an index
+gather (_roll_columns) or on the support bins (_support_rows), where every
+dropped row is rounding noise in every column; the transform is unitary up
+to scale, so in exact arithmetic a solve there is the full grid's. Its
 rounding differs, which can move a residual that sits at tol across it.
 
 Every least-squares solve in the library is _solve, with one rank cut:
@@ -20,31 +20,34 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .test_functions import _fourier_values
 
-def _roll_columns(values: np.ndarray, count: int, step: int = 1) -> np.ndarray:
-    """Matrix whose column k is np.roll(values, k * step), for 0 <= k < count."""
+
+def _roll_columns(values: np.ndarray, count: int) -> np.ndarray:
+    """Matrix whose column k is np.roll(values, k), for 0 <= k < count."""
     idx = np.arange(values.shape[0])
-    return values[(idx[:, None] - step * np.arange(count)[None, :]) % values.shape[0]]
+    return values[(idx[:, None] - np.arange(count)[None, :]) % values.shape[0]]
 
 
-def _translate_sum(spectra: np.ndarray, coeffs: np.ndarray, step: int = 1) -> np.ndarray:
-    """DFT of sum_i sum_k coeffs[i, k] np.roll(g_i, k * step), spectra[:, i] the DFT of g_i.
+def _translate_sum(spectra: np.ndarray, coeffs: np.ndarray, p: int, step: int) -> np.ndarray:
+    """Transform of sum_i sum_k coeffs[i, k] np.roll(g_i, k * step), spectra[:, i] g_i's.
 
-    Each row of coeffs is placed every step points of a zero vector, so the
-    sum over its generator's rolls is one FFT convolution.
+    Each row of coeffs is placed every step points of a zero vector; the
+    sum over its generator's rolls is the spectrum times the character sum
+    of the placed coefficients, their transform at period exponent 0.
     """
     count = coeffs.shape[1]
     placed = np.zeros((spectra.shape[0], coeffs.shape[0]), dtype=np.complex128)
     placed[: count * step : step] = coeffs.T
-    return np.sum(spectra * np.fft.fft(placed, axis=0), axis=1)
+    return np.sum(spectra * _fourier_values(placed, p, 0), axis=1)
 
 
 class _SupportRows(NamedTuple):
-    """Generators' DFTs on the bins where they live.
+    """Generators' transforms on the bins where they live.
 
-    bins are the kept DFT bins l out of n; phases[i, k] =
-    exp(-2 pi i bins[i] k step / n) is a roll by k step; spectra holds the
-    generators' DFTs on those bins, one column each.
+    bins are the kept bins l out of n; phases[i, k] =
+    exp(2 pi i bins[i] k step / n) is a roll by k step; spectra holds the
+    generators' transforms on those bins, one column each.
     """
 
     n: int
@@ -54,12 +57,12 @@ class _SupportRows(NamedTuple):
 
 
 def _support_bins(spectra: np.ndarray) -> np.ndarray:
-    """The DFT bins where some column of spectra lives.
+    """The bins where some column of spectra lives.
 
-    A bin is kept when some generator's DFT there exceeds n eps times that
-    generator's own largest bin; everything below is rounding noise of the
-    FFT. The floor is relative to each generator, so rescaling any of them
-    by a constant keeps the same bins.
+    A bin is kept when some generator's transform there exceeds n eps times
+    that generator's own largest bin; everything below is rounding noise of
+    the FFT. The floor is relative to each generator, so rescaling any of
+    them by a constant keeps the same bins.
     """
     n = spectra.shape[0]
     mags = np.abs(spectra)
@@ -72,7 +75,7 @@ def _support_rows(spectra: np.ndarray, count: int, step: int = 1) -> _SupportRow
     n = spectra.shape[0]
     bins = _support_bins(spectra)
     k = step * np.arange(count)
-    phases = np.exp(-2j * np.pi * ((bins[:, None] * k[None, :]) % n) / n)
+    phases = np.exp(2j * np.pi * ((bins[:, None] * k[None, :]) % n) / n)
     return _SupportRows(n, bins, phases, spectra[bins])
 
 
@@ -97,11 +100,11 @@ def _solve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 def _fit(
     spectra: np.ndarray, y: np.ndarray, count: int, step: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm lstsq of the DFT y through rolls by k step, k < count.
+    """Minimum-norm lstsq of the transform y through rolls by k step, k < count.
 
     One set of rolls per column of spectra, solved on their support bins.
-    Returns the coefficients, one row per generator, and the DFT of the fit,
-    zero off those bins.
+    Returns the coefficients, one row per generator, and the transform of
+    the fit, zero off those bins.
     """
     rows = _support_rows(spectra, count, step)
     a = _translates(rows.spectra, rows.phases, count)
@@ -112,10 +115,10 @@ def _fit(
 
 
 def _project(y: np.ndarray, spectrum: np.ndarray, count: int, step: int) -> np.ndarray:
-    """Orthogonal projection of the DFT y onto count rolls by step of one generator.
+    """Orthogonal projection of the transform y onto count rolls by step of one generator.
 
     On the generator's support bins B the rolls are the rows G(s) z_s^k with
-    nodes z_s = exp(-2 pi i s step / n). When the nodes are distinct and
+    nodes z_s = exp(2 pi i s step / n). When the nodes are distinct and
     |B| <= count, that Vandermonde system has full row rank, so the rolls
     span every vector on B and the projection is the band of y on B.
     Otherwise it is the lstsq fit on B.

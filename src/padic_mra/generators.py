@@ -23,7 +23,7 @@ from .config import DEFAULT_TOL, check_limits
 from .errors import PreconditionError
 from .masks import TrigPolynomial, mask_from_roots, support_margin
 from .padic_core import PadicRational
-from .test_functions import TestFunction
+from .test_functions import TestFunction, _inv_fourier_values
 
 __all__ = [
     "random_covering_mask",
@@ -94,16 +94,15 @@ def random_unimodular_mask(
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n // p)
     phases[0] = 0.0  # m(0) = 1
     values[::p] = np.exp(1j * phases)
-    coeffs = np.fft.fft(values) / n
+    # the grid values are the transform of the coefficients
+    coeffs = _inv_fourier_values(values, p, N + 1)
     return TrigPolynomial(p, coeffs, scale=N)
 
 
-def random_noise_mask(
-    rng: np.random.Generator, p: int, scale: int, terms: int | None = None
-) -> TrigPolynomial:
+def random_noise_mask(rng: np.random.Generator, p: int, scale: int) -> TrigPolynomial:
     """A generic mask with m(0) = 1 and no support guarantee whatsoever."""
     N = scale
-    n_terms = terms if terms is not None else int(rng.integers(2, p ** (N + 1) + 1))
+    n_terms = int(rng.integers(2, p ** (N + 1) + 1))
     coeffs = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
     total = coeffs.sum()
     if abs(total) < 1e-3:

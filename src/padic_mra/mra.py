@@ -11,7 +11,7 @@ verdicts backed by residuals:
     The sup-norm residual of that identity is the refinability authority.
   * shift_mask: express a translate phi(. - b) through phi, either at the
     same scale (coefficients on the translates phi(. - k/p^N), fitted on
-    the DFT bins where phi lives and then verified pointwise) or through the
+    the bins where phi-hat lives and then verified pointwise) or through the
     refined-scale window phi(x/p - k/p^(N+1)), 0 <= k < p^(N+1). The window
     suffices whenever any refined expansion exists: translates with
     |a|_p > p^(N+1) vanish on B_N, so a minimal expansion never needs them.
@@ -30,8 +30,9 @@ The mask fit and every refined-window expansion solve against the same
 window matrix; only the right-hand side changes, and for b = k/p^N it is
 the grid roll of the fit target by k. check_mra therefore factors the
 window once and solves the fit together with all p^N axiom-(a) expansions
-as one block of right-hand sides. Gram scans over translates are circular
-correlations, computed with one inverse FFT of |phi-hat|^2. check_mra
+as one block of right-hand sides. By Plancherel the Gram row
+<phi, phi(. - d/p^N)> over every d is one inverse transform of |phi-hat|^2,
+and stage 1's character sums are entries of the same row. check_mra
 transforms phi once and hands that transform to the mean, the L set and
 the orthonormality stages. The translate kernels and the one least-squares
 solve, with its rank cut, are in _translates.
@@ -50,6 +51,7 @@ from ._translates import _fit, _roll_columns, _solve, _sup
 from .padic_core import PadicRational
 from .test_functions import (
     TestFunction,
+    _inv_fourier_values,
     dilate,
     fourier,
     norm_l2,
@@ -135,8 +137,10 @@ def _l_set(phi: TestFunction, hat: np.ndarray, tol: float) -> LSet:
 # Refinement-equation fitting
 
 
-def _window_solve(phi: TestFunction, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares taps on the refined window for every column of targets.
+def _window_solve(
+    phi: TestFunction, target: np.ndarray, rolls: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares taps on the refined window for the rolls of target by k < rolls.
 
     The window generators phi(x/p - k/p^(N+1)) are the grid translates by
     k/p^N of the dilate g = phi(x/p) on the frame (N, M+1), which carries
@@ -144,15 +148,16 @@ def _window_solve(phi: TestFunction, targets: np.ndarray) -> tuple[np.ndarray, n
     g vanishes off p Z, so generator k only meets grid rows a = k (mod p):
     the window splits into p identical blocks G[i, j] = g(p (i - j)), one
     per residue r, pairing rows a = r + p i with taps k = r + p j. One solve
-    factors G once for every residue and every column of targets, with the
+    factors G once for every residue and every roll of target, with the
     rank cut of the full window on all p^(N+M+1) rows.
-    Returns the taps (p^(N+1) x columns) and each column's sup residual.
+    Returns the taps (p^(N+1) x rolls) and each roll's sup residual.
     """
     N, M = phi.frame
     p = phi.prime
     g = reframe(dilate(phi, -1), N, M + 1)
     block = _roll_columns(g.values[::p], p**N)
-    rows, width = block.shape[0], targets.shape[1]
+    targets = _roll_columns(target, rolls)
+    rows, width = block.shape[0], rolls
     # Column r * width + c of rhs holds the rows a = r (mod p) of target c.
     rhs = targets.reshape(rows, p * width)
     taps = _solve(block, rhs, p ** (N + M + 1))
@@ -188,7 +193,7 @@ def recover_mask(phi: TestFunction, tol: float = DEFAULT_TOL) -> MaskRecovery:
             f"phi integrates to {hat0:.3e}; a scaling candidate needs "
             "a nonzero mean"
         )
-    taps, residuals = _window_solve(phi, reframe(phi, N, M + 1).values[:, None])
+    taps, residuals = _window_solve(phi, reframe(phi, N, M + 1).values, 1)
     mask = TrigPolynomial.from_taps(phi.prime, taps[:, 0], scale=N)
     fit = MaskRecovery(mask, float(residuals[0]), tol)
     if not fit.ok:
@@ -202,21 +207,19 @@ def recover_mask(phi: TestFunction, tol: float = DEFAULT_TOL) -> MaskRecovery:
 
 @dataclass
 class ShiftMaskSolution:
-    """Best expansion of phi(. - b), with system and pointwise residuals.
+    """Best expansion of phi(. - b), with its pointwise residual.
 
     mode 'same_scale': phi(. - b) ~ sum_{k < p^N} alpha_k phi(. - k/p^N),
-    with alpha the least-squares fit on the DFT bins where phi lives; the
-    system residual is the sup misfit of the transforms, p^-M times the
-    DFT misfit, and the verdict is taken from the pointwise identity.
-    mode 'refined': phi(. - b) ~ sum_{k < p^(N+1)} h_k phi(x/p - k/p^(N+1));
-    here the system is the pointwise identity itself.
+    with alpha the least-squares fit of the transforms on the bins where
+    phi-hat lives; the residual is the sup misfit of the identity in space,
+    one inverse transform of the transform misfit.
+    mode 'refined': phi(. - b) ~ sum_{k < p^(N+1)} h_k phi(x/p - k/p^(N+1)),
+    solved and measured on the refined grid.
     """
 
     b: PadicRational
     mode: str
     coefficients: np.ndarray
-    mask: TrigPolynomial
-    system_residual: float
     pointwise_residual: float
     tol: float
 
@@ -242,23 +245,14 @@ def shift_mask(
     if same_scale:
         # |b|_p <= p^N keeps phi(. - b) on phi's frame, where a translate by
         # k/p^N is a roll by k.
-        target = np.fft.fft(shift(phi, b).values)
-        (alpha,), fit = _fit(np.fft.fft(phi.values)[:, None], target, p**N)
-        misfit = fit - target
-        sys_res, pw_res = float(p) ** (-M) * _sup(misfit), _sup(np.fft.ifft(misfit))
-        mask = TrigPolynomial(p, alpha, scale=None)
-        return ShiftMaskSolution(b, "same_scale", alpha, mask, sys_res, pw_res, tol)
+        target = fourier(shift(phi, b)).values
+        (alpha,), fit = _fit(fourier(phi).values[:, None], target, p**N)
+        residual = _sup(_inv_fourier_values(fit - target, p, N))
+        return ShiftMaskSolution(b, "same_scale", alpha, residual, tol)
 
     target = reframe(shift(phi, b), N, M + 1).values
-    taps, residuals = _window_solve(phi, target[:, None])
-    return _refined_solution(b, taps[:, 0], float(residuals[0]), N, tol)
-
-
-def _refined_solution(
-    b: PadicRational, taps: np.ndarray, residual: float, N: int, tol: float
-) -> ShiftMaskSolution:
-    mask = TrigPolynomial.from_taps(b.prime, taps, scale=N)
-    return ShiftMaskSolution(b, "refined", taps, mask, residual, residual, tol)
+    taps, residuals = _window_solve(phi, target, 1)
+    return ShiftMaskSolution(b, "refined", taps[:, 0], float(residuals[0]), tol)
 
 
 # --------------------------------------------------------------------------
@@ -307,12 +301,13 @@ def _orthonormality(phi: TestFunction, hat: np.ndarray, tol: float) -> Orthonorm
     N, M = phi.frame
     p = phi.prime
     n = p ** (N + M)
-    # autocorr[k] = p^-2M sum_a phi_a conj(phi_(a+k)): the character sums of
-    # stage 1 and, read at -k, the Gram row of stage 3.
-    autocorr = np.fft.ifft(np.abs(hat) ** 2)
+    # By Plancherel row[d] = <phi, phi(. - d/p^N)>, the Gram row of stage 3;
+    # p^N row[k] is the conjugate of stage 1's character sum at k.
+    row = _inv_fourier_values(np.abs(hat) ** 2, p, N)
 
-    # Stage 1: the periodization identity, evaluated by exact character sums.
-    sums = n * autocorr[: p**N]
+    # Stage 1: the periodization identity, evaluated by exact character
+    # sums. Their targets are real, so the conjugate has the same residuals.
+    sums = p**N * row[: p**N]
     targets = np.zeros(p**N, dtype=np.complex128)
     targets[0] = p**N
     char_res = np.abs(sums - targets)
@@ -331,12 +326,11 @@ def _orthonormality(phi: TestFunction, hat: np.ndarray, tol: float) -> Orthonorm
     if in_ball:
         modulus_ok = bool(np.max(np.abs(np.abs(inside_vals) - 1.0), initial=0.0) <= tol)
 
-    # Stage 3: the Gram row <phi, phi(. - d/p^N)> = p^M autocorr[-d] for every
-    # d at once. v_p(d) < N means p^N does not divide d, which also leaves
-    # out d = 0, the norm, checked separately; the classes are closed under
-    # d -> -d, so the sup over them can read autocorr at d.
+    # Stage 3: the Gram row for every d at once. v_p(d) < N means p^N does
+    # not divide d, which also leaves out d = 0, the norm, checked
+    # separately.
     classes = np.arange(n) % p**N != 0
-    gram_res = float(p) ** M * float(np.max(np.abs(autocorr[classes]), initial=0.0))
+    gram_res = _sup(row[classes])
     gram_ok = gram_res <= tol
     norm_value = norm_l2(phi)
     norm_ok = abs(norm_value - 1.0) <= tol
@@ -432,17 +426,16 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
             "nonzero mean"
         )
 
-    # Column k is the fit target rolled by k, i.e. phi(. - k/p^N) on the
-    # refined grid; column 0 is phi itself, so it doubles as the mask fit.
+    # Roll k of the fit target is phi(. - k/p^N) on the refined grid; roll 0
+    # is phi itself, so it doubles as the mask fit.
     target = reframe(phi, N, M + 1).values
-    taps, residuals = _window_solve(phi, _roll_columns(target, p**N))
+    taps, residuals = _window_solve(phi, target, p**N)
     solutions = [
-        _refined_solution(PadicRational(p, k, N), taps[:, k], float(residuals[k]), N, tol)
-        for k in range(p**N)
+        ShiftMaskSolution(PadicRational(p, k, N), "refined", taps[:, k], float(res), tol)
+        for k, res in enumerate(residuals)
     ]
     axiom_a_ok = all(s.ok for s in solutions)
-    fit = MaskRecovery(solutions[0].mask, solutions[0].pointwise_residual, tol)
-    refinable = fit.ok
+    refinable = solutions[0].ok
     ls = _l_set(phi, hat, tol)
     criterion_ok = bool(refinable and ls.within_bound)
 
@@ -457,8 +450,8 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
         tol=tol,
         mean_value=complex(hat0),
         refinable=refinable,
-        refine_residual=fit.residual,
-        recovered_mask=fit.mask if refinable else None,
+        refine_residual=solutions[0].pointwise_residual,
+        recovered_mask=TrigPolynomial.from_taps(p, taps[:, 0], scale=N) if refinable else None,
         lset=ls,
         criterion_ok=criterion_ok,
         shift_solutions=solutions,

@@ -149,7 +149,6 @@ def shift_solution_to_json(s: ShiftMaskSolution) -> dict:
         "b": rational_to_json(s.b),
         "mode": s.mode,
         "coefficients": _pairs(s.coefficients),
-        "system_residual": s.system_residual,
         "pointwise_residual": s.pointwise_residual,
         "ok": s.ok,
     }

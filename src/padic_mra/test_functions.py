@@ -13,7 +13,8 @@ rely only on x -> x * p^N being a bijection of the grid onto Z mod p^(N+M).
 The transform here is the additive-character integral with Haar measure
 normalized so that Z_p has measure 1. It maps D_N^M onto D_M^N and is
 computed by the FFT; the tests hold it against an exact character-sum
-oracle.
+oracle. Its sign and scale live here and nowhere else: every spectrum in
+the library is taken by _fourier_values and inverted by _inv_fourier_values.
 """
 
 from __future__ import annotations
@@ -206,21 +207,32 @@ def norm_l2(f: TestFunction) -> float:
     return float(np.sqrt(max(inner_product(f, f).real, 0.0)))
 
 
+def _fourier_values(values: np.ndarray, p: int, M: int) -> np.ndarray:
+    """Transform of each column, a function on a frame (N, M).
+
+    Row l is p^-M * sum_a values[a] exp(2 pi i l a / n), n the row count.
+    """
+    return float(p) ** (-M) * values.shape[0] * np.fft.ifft(values, axis=0)
+
+
+def _inv_fourier_values(values: np.ndarray, p: int, P: int) -> np.ndarray:
+    """Inverse of _fourier_values for each column, a transform on a frame (S, P)."""
+    return float(p) ** (-P) * np.fft.fft(values, axis=0)
+
+
 def fourier(f: TestFunction) -> TestFunction:
     """Additive-character transform, D_N^M -> D_M^N.
 
     The value at l/p^M is p^-M * sum_a f_a exp(2 pi i l a / n).
     """
     N, M = f.frame
-    out = float(f.prime) ** (-M) * f.n * np.fft.ifft(f.values)
-    return TestFunction(f.prime, M, N, out)
+    return TestFunction(f.prime, M, N, _fourier_values(f.values, f.prime, M))
 
 
 def inv_fourier(g: TestFunction) -> TestFunction:
     """Inverse transform, D_S^P -> D_P^S; round-trips with fourier exactly."""
     S, P = g.frame
-    out = float(g.prime) ** (-P) * np.fft.fft(g.values)
-    return TestFunction(g.prime, P, S, out)
+    return TestFunction(g.prime, P, S, _inv_fourier_values(g.values, g.prime, P))
 
 
 def allclose(f: TestFunction, g: TestFunction, tol: float = DEFAULT_TOL) -> bool:

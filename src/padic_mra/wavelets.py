@@ -7,49 +7,50 @@ masks are built as polynomials in z = chi_p(xi):
 
 B kills exactly the residues mod p^(M+N) where the transform of phi lives,
 which is what makes every wavelet translate orthogonal to V_0; the z-power
-spreads the p-1 masks over disjoint tap windows starting at (nu-1) p^N. On a
-DFT bin s of the refined frame, translate k of wavelet nu is
-G(s) B(z_s) z_s^((nu-1) p^N + k), G the transform of phi(x/p): the p-1
-windows together are one Vandermonde system in the distinct nodes z_s, with
-exponents below (p-1) p^N and rows scaled by G B. B vanishes on the V_0
-bins, so the wavelets live on the other (p-1) #L bins of the support of G,
-and #L <= p^N gives full row rank there: V_1 = V_0 + W_0. A padding factor
-(z - 1)^(p^N - #L), which would raise the degree of B to p^N, is left out:
-it adds nothing to that count, and on the bins nearest z = 1 it is far below
-rounding, so a set built with it can fail its own inclusion test.
+spreads the p-1 masks over disjoint tap windows starting at (nu-1) p^N. At
+bin s of a transform on the refined frame, translate k of wavelet nu is
+G(s) B(z_s) z_s^((nu-1) p^N + k), G the transform of phi(x/p) and
+z_s = chi_p(s/p^(N+M+1)): the p-1 windows together are one Vandermonde
+system in the distinct nodes z_s, with exponents below (p-1) p^N and rows
+scaled by G B. B vanishes on the V_0 bins, so the wavelets live on the
+other (p-1) #L bins of the support of G, and #L <= p^N gives full row rank
+there: V_1 = V_0 + W_0. A padding factor (z - 1)^(p^N - #L), which would
+raise the degree of B to p^N, is left out: it adds nothing to that count,
+and on the bins nearest z = 1 it is far below rounding, so a set built
+with it can fail its own inclusion test.
 
-Wavelet functions are tap combinations psi = sum_k g_k phi(x/p - k/p^(N+1))
-and live in D_N^(M+1). Construction verifies, never assumes: the Fourier
-factorization psi-hat(xi) = n(xi/p^N) phi-hat(p xi) and orthogonality to
-V_0 are residual-checked before anything is returned. Both residuals of a
-wavelet are read off two DFTs on the frame (N, M+1), Phi0 of phi and Psi
-of psi, n = p^(N+M+1) values each: psi-hat at k/p^(M+1) is
-p^-(M+1) Psi[-k mod n], phi-hat(p xi) there is p^-(M+1) Phi0[-p k mod n],
-and the V_0 inner products are one inverse DFT of Phi0 conj(Psi). So a call
-transforms phi once and each wavelet once, plus one inverse per wavelet.
-Every wavelet residual is relative to the scale of what it compares: a
-verdict must not change when a wavelet is multiplied by a constant, and the
+Each wavelet, the tap combination psi = sum_k g_k phi(x/p - k/p^(N+1)) in
+D_N^(M+1), is built from its transform Psi on that frame: at k/p^(M+1),
+psi-hat(xi) = n(xi/p^N) phi-hat(p xi) is the mask on the depth-(N+M+1)
+grid times phi-hat(k/p^M), entry p k mod n of Phi0, phi's transform on the
+same frame. psi is one inverse transform of that product. Construction
+checks orthogonality to V_0 before anything is returned; by Plancherel
+the inner products are one inverse transform of Phi0 conj(Psi). So a call
+transforms phi once and makes two inverse transforms per wavelet. Every
+wavelet residual is relative to the scale of what it compares: a verdict
+must not change when a wavelet is multiplied by a constant, and the
 expanded taps of a supplied mask can be of any size.
 
 Frame quality is read off the Gram matrix of the translate system: on the
 span, sum_i |<f, g_i>|^2 sits between A and B times ||f||^2 exactly when A
 and B are the extreme nonzero Gram eigenvalues. The inclusion test and the
-Gram are solved on the support rows of _translates, the DFT bins where
+Gram are solved on the support rows of _translates, the bins where
 phi(x/p), phi or some wavelet lives: p #L of them for a valid set. The one
-batched DFT that picks those bins also gives the factorization and V_0
-residuals, so verify_wavelet_set and frame_bounds transform each generator
-once.
+batched transform that picks those bins also gives the V_0 residual and
+the factorization residual, which checks each given wavelet against its
+mask, so verify_wavelet_set and frame_bounds transform each generator once.
 
 The multilevel transform runs on support rows too. A translate by
 k/p^(N+j) before the dilation by p^-j is one by k/p^N after it, a roll by
 k step on the working frame, so each level's translates are phases times
-the DFT of one dilated generator. V_j's projection is the band of the
-input's DFT on the bins where the level-j dilate of phi lives, exact when
-those bins carry distinct nodes and number at most p^(N+j) (the same
-Vandermonde count), and the lstsq on them otherwise; the details are the
-minimum-norm lstsq of the W_j translates on their own support bins.
-Synthesis is one FFT convolution per generator and level. No step builds
-an n-row matrix.
+the transform of one dilated generator. V_j's projection is the band of
+the input's transform on the bins where the level-j dilate of phi lives,
+exact when those bins carry distinct nodes and number at most p^(N+j)
+(the same Vandermonde count), and the lstsq on them otherwise; the
+details are the minimum-norm lstsq of the W_j translates on their own
+support bins. Synthesis multiplies each generator's transform by the
+character sum of its coefficients, level by level. No step builds an
+n-row matrix.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from ._translates import (
     _SupportRows,
     _fit,
     _project,
-    _roll_columns,
     _solve,
     _sup,
     _support_rows,
@@ -76,7 +76,10 @@ from .mra import LSet, _l_set, l_set
 from .padic_core import PadicRational, character
 from .test_functions import (
     TestFunction,
+    _fourier_values,
+    _inv_fourier_values,
     dilate,
+    fourier,
     norm_l2,
     omega,
     reframe,
@@ -150,48 +153,33 @@ def _window_masks(phi: TestFunction, m0: TrigPolynomial, ls: LSet) -> list[TrigP
     return masks
 
 
-def _tap_combination(phi: TestFunction, taps: np.ndarray) -> TestFunction:
-    """sum_k taps[k] phi(x/p - k/p^(N+1)) as an element of D_N^(M+1)."""
-    N, M = phi.frame
-    p = phi.prime
-    if len(taps) > p ** (N + 1):
-        raise PreconditionError(
-            f"{len(taps)} taps exceed the window p^(N+1) = {p ** (N + 1)}"
-        )
-    g = reframe(dilate(phi, -1), N, M + 1)
-    return TestFunction(p, N, M + 1, _roll_columns(g.values, len(taps)) @ taps)
-
-
 def _phi_spectrum(phi: TestFunction) -> np.ndarray:
-    """Phi0, the DFT of phi's values on the frame (N, M+1) of its wavelets."""
-    N, M = phi.frame
-    return np.fft.fft(reframe(phi, N, M + 1).values)
+    """Phi0, phi's transform on the frame (N, M+1) of its wavelets.
 
-
-def _negate(v: np.ndarray) -> np.ndarray:
-    """v[-k mod len(v)] for every k."""
-    return np.roll(v[::-1], 1)
-
-
-def _hat(phi: TestFunction, f0: np.ndarray) -> np.ndarray:
-    """phi-hat(l/p^M), l < p^(N+M), read off Phi0: p^-(M+1) Phi0[-p l mod n].
-
-    -p l mod n is p times -l mod n/p, so this is Phi0 on the multiples of
-    p, negated.
+    Its entry k is phi-hat(k/p^(M+1)), so phi-hat(l/p^M) is entry p l.
     """
-    p, M = phi.prime, phi.period_exp
-    return float(p) ** (-(M + 1)) * _negate(f0[::p])
+    N, M = phi.frame
+    return fourier(reframe(phi, N, M + 1)).values
 
 
-def _v0_residual(f0: np.ndarray, spec: np.ndarray, p: int, N: int, M: int) -> float:
+def _factorized(f0: np.ndarray, mask: TrigPolynomial, p: int, N: int, M: int) -> np.ndarray:
+    """n(xi/p^N) phi-hat(p xi) at xi = k/p^(M+1), from Phi0.
+
+    The mask is read on the depth-(N+M+1) grid, and phi-hat(k/p^M) repeats
+    with period p^(N+M) in k.
+    """
+    return mask.values_on_depth_grid(N + M + 1) * np.tile(f0[::p], p)
+
+
+def _v0_residual(f0: np.ndarray, spec: np.ndarray, p: int, N: int) -> float:
     """max |<phi(.-a), psi(.-b)>| over a, b in I_p, from Phi0 and Psi.
 
     Translates more than p^N apart have disjoint supports, so only the
-    difference classes d/p^N with |d| < p^N need computing; all of them are
-    entries of one circular cross-correlation, the inverse DFT of
+    difference classes d/p^N with |d| < p^N need computing. By Plancherel
+    <phi, psi(. - d/p^N)> is entry d of the inverse transform of
     Phi0 conj(Psi).
     """
-    corr = float(p) ** (-(M + 1)) * np.fft.ifft(f0 * np.conj(spec))
+    corr = _inv_fourier_values(f0 * np.conj(spec), p, N)
     d = np.arange(-(p**N) + 1, p**N)
     return float(np.max(np.abs(corr[d % spec.shape[0]])))
 
@@ -209,21 +197,17 @@ def _wavelet_residuals(
 ) -> tuple[float, float]:
     """Scale-free (factorization, V_0-orthogonality) residuals of one wavelet.
 
-    f0 and spec are Phi0 and Psi, the DFTs of phi and psi on the frame
-    (N, M+1). The factorization residual is relative to
+    f0 and spec are Phi0 and Psi, the transforms of phi and psi on the
+    frame (N, M+1). The factorization residual is relative to
     max |n(xi/p^N) phi-hat(p xi)| and the orthogonality residual to
     ||phi|| ||psi||, the Cauchy-Schwarz bound of every inner product it
     scans.
     """
     N, M = phi.frame
     p = phi.prime
-    # At k/p^(M+1): psi-hat is p^-(M+1) Psi[-k mod n], and phi-hat(p xi) is
-    # phi-hat(k/p^M), which repeats with period p^(N+M) in k.
-    expected = mask.values_on_depth_grid(N + M + 1) * np.tile(_hat(phi, f0), p)
-    got = float(p) ** (-(M + 1)) * _negate(spec)
-    fact = float(np.max(np.abs(got - expected), initial=0.0))
-    fact = _relative(fact, float(np.max(np.abs(expected), initial=0.0)))
-    orth = _relative(_v0_residual(f0, spec, p, N, M), norm_l2(phi) * norm_l2(psi))
+    expected = _factorized(f0, mask, p, N, M)
+    fact = _relative(_sup(spec - expected), _sup(expected))
+    orth = _relative(_v0_residual(f0, spec, p, N), norm_l2(phi) * norm_l2(psi))
     return fact, orth
 
 
@@ -232,11 +216,13 @@ def wavelet_functions(
     masks: list[TrigPolynomial],
     tol: float = DEFAULT_TOL,
 ) -> list[TestFunction]:
-    """Tap combinations for each mask, verified before they are returned.
+    """The wavelet of each mask, verified before it is returned.
 
-    Checks the Fourier factorization psi-hat(xi) = n(xi/p^N) phi-hat(p xi)
-    on the full refined grid and orthogonality of every translate pair to
-    V_0; raises VerificationError naming the failing mask otherwise.
+    psi is the inverse transform of psi-hat(xi) = n(xi/p^N) phi-hat(p xi)
+    on the full refined grid, the tap combination of the mask's taps.
+    Refuses (PreconditionError) a mask with more than p^(N+1) taps, and
+    raises VerificationError naming a mask whose wavelet has a translate
+    not orthogonal to V_0.
     """
     check_limits(phi.prime, phi.support_exp + phi.period_exp + 1, tol)
     return _wavelet_functions(phi, masks, tol, _phi_spectrum(phi))
@@ -246,17 +232,19 @@ def _wavelet_functions(
     phi: TestFunction, masks: list[TrigPolynomial], tol: float, f0: np.ndarray
 ) -> list[TestFunction]:
     """wavelet_functions given Phi0 = _phi_spectrum(phi)."""
+    N, M = phi.frame
     p = phi.prime
     out = []
     for i, mk in enumerate(masks):
         if mk.prime != p:
             raise PreconditionError(f"mask {i} has prime {mk.prime}, expected {p}")
-        psi = _tap_combination(phi, mk.taps)
-        fact_res, orth_res = _wavelet_residuals(phi, f0, mk, psi, np.fft.fft(psi.values))
-        if fact_res > tol:
-            raise VerificationError(
-                f"mask {i}: transform factorization residual {fact_res:.3e}"
+        if len(mk.coeffs) > p ** (N + 1):
+            raise PreconditionError(
+                f"mask {i}: {len(mk.coeffs)} taps exceed the window p^(N+1) = {p ** (N + 1)}"
             )
+        spec = _factorized(f0, mk, p, N, M)
+        psi = TestFunction(p, N, M + 1, _inv_fourier_values(spec, p, N))
+        orth_res = _relative(_v0_residual(f0, spec, p, N), norm_l2(phi) * norm_l2(psi))
         if orth_res > tol:
             raise VerificationError(
                 f"mask {i}: wavelet is not orthogonal to V_0 "
@@ -332,7 +320,7 @@ def build_wavelet_set(
     check_limits(phi.prime, phi.support_exp + phi.period_exp + 1, tol)
     f0 = _phi_spectrum(phi)
     try:
-        masks = _window_masks(phi, m0, _l_set(phi, _hat(phi, f0), tol))
+        masks = _window_masks(phi, m0, _l_set(phi, f0[:: phi.prime], tol))
     except UnsupportedConfigurationError:
         # The refusal's traceback keeps this frame alive for as long as the
         # caller keeps the exception; it need not keep the spectrum too.
@@ -361,19 +349,20 @@ class WaveletVerification:
 
 
 def _spectra(ws: WaveletSet) -> np.ndarray:
-    """One batched DFT on the frame (N, M+1): phi, each wavelet, phi(x/p).
+    """One batched transform on the frame (N, M+1): phi, each wavelet, phi(x/p).
 
     For a valid set their joint support is that of phi(x/p): p #L bins.
     """
     N, M = ws.support_exp, ws.period_exp
     gens = [reframe(ws.phi, N, M + 1), *ws.wavelets, reframe(dilate(ws.phi, -1), N, M + 1)]
-    return np.fft.fft(np.column_stack([g.values for g in gens]), axis=0)
+    return _fourier_values(np.column_stack([g.values for g in gens]), ws.prime, M + 1)
 
 
 def _inclusion_residual(ws: WaveletSet, rows: _SupportRows) -> float:
     """Relative sup residual of phi(x/p - a) through the level-0 translates.
 
-    The space-domain residual is the inverse DFT of the kept-bin residual.
+    The space-domain residual is the inverse transform of the kept-bin
+    residual.
     """
     gens = rows.spectra[:, :-1]
     norms = np.linalg.norm(gens, axis=0)
@@ -381,9 +370,10 @@ def _inclusion_residual(ws: WaveletSet, rows: _SupportRows) -> float:
     span = _translates(gens, rows.phases, ws.prime**ws.support_exp)
     targets = rows.spectra[:, -1:] * rows.phases
     sol = _solve(span, targets, rows.n)
-    misfit = np.zeros((targets.shape[1], rows.n), dtype=np.complex128)
-    misfit[:, rows.bins] = (span @ sol - targets).T
-    return _relative(_sup(np.fft.ifft(misfit)), _sup(ws.phi.values))
+    misfit = np.zeros((rows.n, targets.shape[1]), dtype=np.complex128)
+    misfit[rows.bins] = span @ sol - targets
+    space = _inv_fourier_values(misfit, ws.prime, ws.support_exp)
+    return _relative(_sup(space), _sup(ws.phi.values))
 
 
 def _verify(ws: WaveletSet, tol: float) -> tuple[WaveletVerification, _SupportRows]:
@@ -460,12 +450,12 @@ def frame_bounds(ws: WaveletSet, tol: float | None = None) -> FrameReport:
     p, N, M = ws.prime, ws.support_exp, ws.period_exp
     check_limits(p, N + M + 1, tol)
     verification, rows = _verify(ws, tol)
-    # The Gram p^-(M+1) a* a / n of the kept-bin translates a has the
-    # squared singular values of a as its nonzero eigenvalues.
+    # By Plancherel the Gram is p^-N a* a, a the kept-bin translates, so
+    # its nonzero eigenvalues are p^-N times the squared singular values.
     a = _translates(rows.spectra[:, 1:-1], rows.phases, p**N)
     sv = np.linalg.svd(a, compute_uv=False)
     power = np.concatenate([sv**2, np.zeros(a.shape[1] - sv.size)])
-    spectrum = np.sort(power) * float(p) ** (-(M + 1)) / rows.n
+    spectrum = np.sort(power) * float(p) ** (-N)
     lam_max = float(spectrum[-1]) if spectrum.size else 0.0
     if lam_max <= 0:
         raise PreconditionError("degenerate wavelet set: Gram matrix is zero")
@@ -490,8 +480,8 @@ def frame_bounds(ws: WaveletSet, tol: float | None = None) -> FrameReport:
 def kozyrev_set(p: int, tol: float = DEFAULT_TOL) -> WaveletSet:
     """The classical character wavelets psi_nu(x) = chi_p(nu x / p) Omega(|x|).
 
-    Built as tap combinations over the ball indicator with taps
-    g_k = exp(2 pi i nu k / p), then verified through frame_bounds: the set
+    Built from their masks, taps g_k = exp(2 pi i nu k / p) over the ball
+    indicator, then verified through frame_bounds: the set
     must be ok (orthogonal to the ball translates, and the refined ball
     translates phi(x/p - a) in the span of phi and the wavelets), and at
     N = 0 each wavelet has one translate, so the Gram is the wavelets' inner
@@ -549,9 +539,9 @@ def _working_frame(ws: WaveletSet, f: TestFunction, j1: int) -> tuple[int, int]:
 
 
 def _level_spectra(funcs: list[TestFunction], j: int, frame: tuple[int, int]) -> np.ndarray:
-    """DFTs on frame of the level-j dilates p^(j/2) f(p^-j x), one column per f."""
+    """Transforms on frame of the level-j dilates p^(j/2) f(p^-j x), one column per f."""
     gens = [reframe(dilate(f, -j, normalized=True), *frame).values for f in funcs]
-    return np.fft.fft(np.column_stack(gens), axis=0)
+    return _fourier_values(np.column_stack(gens), funcs[0].prime, frame[1])
 
 
 def analyze(
@@ -565,12 +555,12 @@ def analyze(
     At each level the orthogonal projection onto the truncated scaling
     space is subtracted and the complement is expanded over the wavelet
     translates; for f in the level-j1 truncated space the round trip with
-    synthesize is exact to tolerance. Everything runs on the DFT of f on
-    the working frame: a projection is the band on the bins where the
+    synthesize is exact to tolerance. Everything runs on the transform of
+    f on the working frame: a projection is the band on the bins where the
     level's dilate of phi lives (or the lstsq on them when its translates
     do not span them), the details are the minimum-norm lstsq of the
     wavelet translates on their own support bins, and the residuals are
-    space-domain sup norms, read off one inverse DFT each.
+    space-domain sup norms, read off one inverse transform each.
     """
     if f.prime != ws.prime:
         raise PreconditionError(f"mixed primes {ws.prime} and {f.prime}")
@@ -582,11 +572,11 @@ def analyze(
     check_limits(p, sum(frame), tol)
     # A translate by k/p^N on the working frame is a roll by k step.
     step = p ** (frame[0] - N)
-    target = np.fft.fft(reframe(f, *frame).values)
+    target = _fourier_values(reframe(f, *frame).values, p, frame[1])
 
     g = _level_spectra([ws.phi], j1, frame)
     y = _project(target, g, p ** (N + j1), step)
-    input_residual = _sup(np.fft.ifft(y - target))
+    input_residual = _sup(_inv_fourier_values(y - target, p, frame[0]))
 
     details: dict[int, np.ndarray] = {}
     split_residuals: dict[int, float] = {}
@@ -596,7 +586,7 @@ def analyze(
         smooth = _project(y, g, count, step)
         residue = y - smooth
         details[j], fit = _fit(_level_spectra(ws.wavelets, j, frame), residue, count, step)
-        split_residuals[j] = _sup(np.fft.ifft(fit - residue))
+        split_residuals[j] = _sup(_inv_fourier_values(fit - residue, p, frame[0]))
         y = smooth
     # g is the level-j0 dilate of phi, and y lies in its span.
     approx = _fit(g, y, p ** (N + j0), step)[0][0]
@@ -616,17 +606,18 @@ def analyze(
 def synthesize(tree: CoefficientTree, ws: WaveletSet) -> TestFunction:
     """Rebuild the function a CoefficientTree describes.
 
-    Each level is one FFT convolution per generator: the DFT of its dilate
-    times the DFT of its coefficients placed every step points.
+    Each level is one product per generator: the transform of its dilate
+    times the character sum of its coefficients placed every step points.
     """
     if tree.prime != ws.prime:
         raise PreconditionError(f"mixed primes {ws.prime} and {tree.prime}")
     frame = tree.frame
     check_limits(ws.prime, sum(frame), ws.tol)
-    step = ws.prime ** (frame[0] - ws.support_exp)
+    p = ws.prime
+    step = p ** (frame[0] - ws.support_exp)
     phi = _level_spectra([ws.phi], tree.j0, frame)
-    acc = _translate_sum(phi, np.reshape(tree.approx, (1, -1)), step)
+    acc = _translate_sum(phi, np.reshape(tree.approx, (1, -1)), p, step)
     for j, dj in tree.details.items():
         wavelets = _level_spectra(ws.wavelets, j, frame)
-        acc += _translate_sum(wavelets, np.reshape(dj, (ws.r, -1)), step)
-    return TestFunction(ws.prime, frame[0], frame[1], np.fft.ifft(acc))
+        acc += _translate_sum(wavelets, np.reshape(dj, (ws.r, -1)), p, step)
+    return TestFunction(p, frame[0], frame[1], _inv_fourier_values(acc, p, frame[0]))

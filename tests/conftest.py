@@ -5,8 +5,9 @@ library never takes: Fourier coefficients as dense exact-character sums,
 Gram and V_0 scans as one roll and inner product per offset,
 inner products as measure-weighted sums of point evaluations on a finer
 grid, polynomial products by schoolbook convolution, the depth product
-one point at a time, one refinement step by a tap-weighted sum of rolls or
-on the transform side, the transform's level matrices column by
+one point at a time, one refinement step by a tap-weighted sum of rolls
+or on the transform side, each wavelet as the tap-weighted sum of rolls of
+its mask (oracle_tap_sum), the transform's level matrices column by
 column through shift, dilate and reframe and the multilevel transform as
 dense least-squares solves on them, the wavelet masks with the degree
 padded by a power of z - 1, the wavelet inclusion test
@@ -160,6 +161,21 @@ def oracle_hat_value_at(m: TrigPolynomial, xi: PadicRational) -> complex:
     for t in range(1, xi.exp + m.scale + 1):
         out *= m.value(PadicRational(m.prime, xi.num, t))
     return out
+
+
+def oracle_tap_sum(phi: TestFunction, mask: TrigPolynomial) -> TestFunction:
+    """The wavelet sum_k h_k phi(x/p - k/p^(N+1)) of a mask, one roll per tap.
+
+    phi(x/p - k/p^(N+1)) is the dilate phi(x/p) on the frame (N, M+1)
+    rolled by k, so the wavelet is built in space, never through a
+    transform.
+    """
+    N, M = phi.frame
+    g = reframe(dilate(phi, -1), N, M + 1)
+    acc = np.zeros(g.n, dtype=np.complex128)
+    for k, tap in enumerate(mask.taps):
+        acc += tap * np.roll(g.values, k)
+    return TestFunction(phi.prime, N, M + 1, acc)
 
 
 def oracle_apply_refinement(m: TrigPolynomial, f: TestFunction) -> TestFunction:

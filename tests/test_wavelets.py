@@ -16,6 +16,7 @@ from padic_mra import (
     check_mra,
     check_orthonormal_shifts,
     dilate,
+    fourier,
     frame_bounds,
     haar_mask,
     hat_from_mask,
@@ -41,6 +42,7 @@ from conftest import (
     oracle_inclusion_residual,
     oracle_padded_wavelet_masks,
     oracle_synthesize,
+    oracle_tap_sum,
     oracle_v0_residual,
     oracle_wavelet_gram,
     oracle_wavelet_residuals,
@@ -59,7 +61,6 @@ from padic_mra.wavelets import (
     WaveletSet,
     _level_spectra,
     _phi_spectrum,
-    _tap_combination,
     _v0_residual,
     _wavelet_residuals,
     wavelet_functions,
@@ -182,18 +183,39 @@ class TestWaveletFunctions:
             assert verify_wavelet_set(ws).ok, (p, N)
             assert frame_bounds(ws).ok, (p, N)
 
+    @pytest.mark.parametrize(
+        "case",
+        ["quartic-1", "quartic-3", "haar-2", "haar-3", "haar-5",
+         "kozyrev-2", "kozyrev-3", "kozyrev-5",
+         "covering-2-3", "covering-2-6", "covering-3-3", "covering-5-2"],
+    )
+    def test_wavelets_match_tap_sum_oracle(self, case, quartic_mask):
+        # built from their transforms, the wavelets are the tap sums in space
+        sets = _oracle_sets(case, quartic_mask)
+        assert sets
+        for ws in sets:
+            for mk, psi in zip(ws.masks, wavelet_functions(ws.phi, ws.masks)):
+                want = oracle_tap_sum(ws.phi, mk).values
+                assert np.max(np.abs(psi.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_mask_wider_than_the_window_is_refused(self, quartic_phi):
+        # N = 2: the refined window holds p^(N+1) = 8 taps
+        wide = TrigPolynomial(2, np.full(9, 1 / 9), scale=2)
+        with pytest.raises(PreconditionError, match="9 taps exceed the window"):
+            wavelet_functions(quartic_phi, [wide])
+
     def test_fft_v0_residual_matches_brute_force(self, quartic_ws, haar3, rng):
         for ws in (quartic_ws, haar3):
             p, N, M = ws.prime, ws.support_exp, ws.period_exp
             f0 = _phi_spectrum(ws.phi)
             for psi in ws.wavelets:
-                got = _v0_residual(f0, np.fft.fft(psi.values), p, N, M)
+                got = _v0_residual(f0, fourier(psi).values, p, N)
                 assert got == pytest.approx(oracle_v0_residual(ws.phi, psi), abs=1e-13)
             for _ in range(8):
                 psi = random_function(rng, p, N, M + 1)
                 want = oracle_v0_residual(ws.phi, psi)
                 assert want > 1e-3
-                got = _v0_residual(f0, np.fft.fft(psi.values), p, N, M)
+                got = _v0_residual(f0, fourier(psi).values, p, N)
                 assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -236,10 +258,10 @@ class TestSharedSpectra:
             pairs = list(zip(ws.masks, ws.wavelets))
             want = [oracle_wavelet_residuals(ws.phi, mk, psi) for mk, psi in pairs]
             for (mk, psi), (fact, orth) in zip(pairs, want):
-                got = _wavelet_residuals(ws.phi, f0, mk, psi, np.fft.fft(psi.values))
+                got = _wavelet_residuals(ws.phi, f0, mk, psi, fourier(psi).values)
                 _assert_residual_matches(got[0], fact)
                 _assert_residual_matches(got[1], orth)
-            # verify_wavelet_set reads the same residuals off its batched DFT
+            # verify_wavelet_set reads the same residuals off its batched transform
             rep = verify_wavelet_set(ws)
             _assert_residual_matches(rep.factorization_residual, max(f for f, _ in want))
             _assert_residual_matches(rep.v0_residual, max(o for _, o in want))
@@ -250,8 +272,8 @@ class TestSharedSpectra:
         f0 = _phi_spectrum(quartic_phi)
         for coeffs in (c * good, c * (good * 1.01 + 0.01)):
             mk = TrigPolynomial(2, coeffs, scale=2)
-            psi = _tap_combination(quartic_phi, mk.taps)
-            got = _wavelet_residuals(quartic_phi, f0, mk, psi, np.fft.fft(psi.values))
+            psi = oracle_tap_sum(quartic_phi, mk)
+            got = _wavelet_residuals(quartic_phi, f0, mk, psi, fourier(psi).values)
             want = oracle_wavelet_residuals(quartic_phi, mk, psi)
             _assert_residual_matches(got[0], want[0])
             _assert_residual_matches(got[1], want[1])
@@ -559,6 +581,11 @@ class TestLeastSquares:
         src = Path(wavelets.__file__).parent
         calls = {f.name: f.read_text().count("np.linalg.lstsq(") for f in src.glob("*.py")}
         assert {name: n for name, n in calls.items() if n} == {"_translates.py": 1}
+
+    def test_one_transform_module_in_the_library(self):
+        src = Path(wavelets.__file__).parent
+        users = {f.name for f in src.glob("*.py") if "np.fft" in f.read_text()}
+        assert users == {"test_functions.py"}
 
     def test_every_solve_takes_the_full_grid_rank_cut(
         self, quartic_phi, quartic_ws, rng, monkeypatch
