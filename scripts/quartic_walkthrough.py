@@ -18,10 +18,11 @@ from padic_mra import (
     l_set,
     mask_from_roots,
     refinable_from_mask,
+    shift_mask,
     verify_wavelet_set,
 )
 from padic_mra.errors import SupportViolationError
-from padic_mra.padic_core import PadicRational
+from padic_mra.padic_core import PadicRational, enumerate_Ip_ball
 
 
 def main() -> None:
@@ -62,15 +63,22 @@ def main() -> None:
           f"(worst character-sum deviation "
           f"{max(report.orthonormality.char_sum_residuals):.3f})")
 
-    print("shift masks for every translate of the refined grid:")
-    for sol in report.shift_solutions:
-        print(f"  b = {str(sol.b):>4}: residual {sol.pointwise_residual:.2e}")
+    print(f"set rule p L in L: {report.set_rule_ok}")
+    print(f"axiom (a): every translate b = k/p^N in the refined window, worst "
+          f"residual {report.axiom_a_residual:.2e} ({report.axiom_a_route}: "
+          f"rank {report.fit_rank} on {report.fit_rows} bins)")
+    for b in enumerate_Ip_ball(p, 2):
+        sol = shift_mask(phi, b, same_scale=False)
+        print(f"  b = {str(b):>4}: residual {sol.pointwise_residual:.2e}")
 
     ws = build_wavelet_set(phi, mask)
     ver = verify_wavelet_set(ws)
     print(f"wavelet set: {len(ws.wavelets)} generator of degree "
           f"{ws.masks[0].degree}, V_0-orthogonality {ver.v0_residual:.1e}, "
           f"inclusion {ver.inclusion_residual:.1e}")
+    count = ver.inclusion_count
+    print(f"inclusion count: |S| = {count.support_bins}, |T| = {count.target_bins}, "
+          f"r p^N = {count.wavelet_translates}, rank {count.rank}, d = {count.deficiency}")
 
     rep = frame_bounds(ws)
     print(f"frame bounds: A = {rep.A:.6f}, B = {rep.B:.6f} "

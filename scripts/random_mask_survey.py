@@ -4,7 +4,9 @@ Draws seeded random masks whose refinable solutions are guaranteed to fit
 a declared Fourier support, then tabulates, per (p, N, M) cell, how many
 instances land within the #L <= p^N bound and whether every translate
 admits a verified shift mask. The two columns must agree row by row; a
-disagreement would be a counterexample to the duality criterion.
+disagreement would be a counterexample to the duality criterion. A last
+column counts the draws where the set rule p L in L, read off the L set,
+agrees with the refinability the mask fit decided.
 """
 
 from __future__ import annotations
@@ -32,14 +34,16 @@ def survey_cell(
             out["regenerated"] += 1
             continue
         done += 1
-        # check_mra solves every refined-window shift expansion, b = k/p^N,
-        # in one block; axiom_a_ok is the conjunction of their verdicts.
+        # axiom_a_ok covers every refined-window shift expansion, b = k/p^N:
+        # derived from the mask fit when its bins have full rank, else
+        # solved for every roll on the same block.
         report = check_mra(phi)
         ls = report.lset
         dual = report.axiom_a_ok
         out["within_bound"] += ls.within_bound
         out["dual_ok"] += dual
         out["agree"] += ls.within_bound == dual
+        out["set_rule"] += report.set_rule_ok == report.refinable
         out["lset_total"] += ls.size
     return dict(out)
 
@@ -51,7 +55,7 @@ def main() -> None:
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    header = f"{'p':>2} {'N':>2} {'M':>2} {'trials':>7} {'#L<=p^N':>8} {'dual ok':>8} {'agree':>6} {'mean #L':>8}"
+    header = f"{'p':>2} {'N':>2} {'M':>2} {'trials':>7} {'#L<=p^N':>8} {'dual ok':>8} {'agree':>6} {'mean #L':>8} {'set rule':>8}"
     print(header)
     print("-" * len(header))
     total_agree = total = 0
@@ -66,7 +70,8 @@ def main() -> None:
                     f"{cell.get('within_bound', 0):>8} "
                     f"{cell.get('dual_ok', 0):>8} "
                     f"{cell.get('agree', 0):>6} "
-                    f"{cell.get('lset_total', 0) / args.trials:>8.2f}"
+                    f"{cell.get('lset_total', 0) / args.trials:>8.2f} "
+                    f"{cell.get('set_rule', 0):>8}"
                 )
     print("-" * len(header))
     print(f"duality agreement: {total_agree}/{total}")

@@ -4,14 +4,17 @@ V_0, the refinement window, W_0 and the wavelet frame are all systems of
 translates, a translate by k/p^N being a roll by k step. On a transform
 (test_functions) a roll is the phase exp(2 pi i s k step / n) on bin s,
 so count rolls of one generator are a Vandermonde system in the nodes of
-its support bins, scaled by its spectrum. Systems are built by an index
-gather (_roll_columns) or on the support bins (_support_rows), where every
-dropped row is rounding noise in every column; the transform is unitary up
-to scale, so in exact arithmetic a solve there is the full grid's. Its
-rounding differs, which can move a residual that sits at tol across it.
+its support bins, scaled by its spectrum. Systems are built on the support
+bins (_support_rows), where every dropped row is rounding noise in every
+column; the transform is unitary up to scale, so in exact arithmetic a
+solve there is the full grid's. Its rounding differs, which can move a
+residual that sits at tol across it.
 
-Every least-squares solve in the library is _solve, with one rank cut:
-eps max(n, columns) times the largest singular value, n the full grid.
+Every least-squares solve in the library is _solve, with one rank cut
+(_rcond): eps max(n, columns) times the largest singular value, n the full
+grid. _range and _complement take the same cut on an SVD, for a caller
+that needs the fits or the residuals of many right-hand sides rather
+than their solutions.
 """
 
 from __future__ import annotations
@@ -21,12 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .test_functions import _fourier_values
-
-
-def _roll_columns(values: np.ndarray, count: int) -> np.ndarray:
-    """Matrix whose column k is np.roll(values, k), for 0 <= k < count."""
-    idx = np.arange(values.shape[0])
-    return values[(idx[:, None] - np.arange(count)[None, :]) % values.shape[0]]
 
 
 def _translate_sum(spectra: np.ndarray, coeffs: np.ndarray, p: int, step: int) -> np.ndarray:
@@ -56,17 +53,28 @@ class _SupportRows(NamedTuple):
     spectra: np.ndarray
 
 
+# Support floor relative to each generator's largest bin. The rounding in a
+# transform comes from the values it is taken of, not from n: zero bins of
+# refined phis reached 5,900 eps (p=2, N=11) and 6,900 eps (p=7, N=1, M=3)
+# of the peak, and of built wavelet sets 8,100 eps (p=5, N=2), over
+# covering and unimodular draws at p <= 7, N <= 11 and n up to 2^17, with
+# no growth in M. Genuine bins went down to 8.8e-9 = 4e7 eps (p=2, N=6,
+# #L=21). The floor, 2^18 eps = 5.8e-11, sits a factor 32 above the one
+# and 150 below the other. Kept, rounding bins break the count and made an
+# SVD fail.
+_SUPPORT_FLOOR = 2.0**18 * np.finfo(float).eps
+
+
 def _support_bins(spectra: np.ndarray) -> np.ndarray:
     """The bins where some column of spectra lives.
 
-    A bin is kept when some generator's transform there exceeds n eps times
-    that generator's own largest bin; everything below is rounding noise of
-    the FFT. The floor is relative to each generator, so rescaling any of
-    them by a constant keeps the same bins.
+    A bin is kept when some generator's transform there exceeds
+    _SUPPORT_FLOOR times its own largest bin; the rest is rounding.
+    Rescaling a generator, or reframing it to a larger grid, keeps the same
+    bins.
     """
-    n = spectra.shape[0]
     mags = np.abs(spectra)
-    floor = n * np.finfo(float).eps * np.max(mags, axis=0)
+    floor = _SUPPORT_FLOOR * np.max(mags, axis=0)
     return np.nonzero(np.any(mags > floor, axis=1))[0]
 
 
@@ -85,16 +93,41 @@ def _translates(spectra: np.ndarray, phases: np.ndarray, count: int) -> np.ndarr
     return (spectra[:, :, None] * phases[:, None, :count]).reshape(rows, -1)
 
 
-def _solve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Minimum-norm lstsq of a x = b, a holding some of the rows of an n-row system.
+def _rcond(n: int, columns: int) -> float:
+    """The rank cut of lstsq on all n rows, relative to the largest singular value.
 
-    The rank cut is the one lstsq takes on the full system, eps max(n,
-    columns) times the largest singular value, not eps max(rows, columns):
-    a lower cut would keep directions that the full-grid solve treats as
-    noise.
+    A solve on fewer rows keeps it: a lower cut would keep directions the full grid drops.
     """
-    rcond = np.finfo(float).eps * max(n, a.shape[1])
-    return np.linalg.lstsq(a, b, rcond=rcond)[0]
+    return np.finfo(float).eps * max(n, columns)
+
+
+def _rank(s: np.ndarray, n: int, columns: int) -> int:
+    return int(np.count_nonzero(s > _rcond(n, columns) * s[0])) if s.size else 0
+
+
+def _solve(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Minimum-norm lstsq of a x = b, a some rows of an n-row system, and a's rank at the cut."""
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=_rcond(n, a.shape[1]))
+    return x, int(rank)
+
+
+def _range(a: np.ndarray, n: int) -> np.ndarray:
+    """Orthonormal columns U spanning what _solve(a, ., n) fits: its fit of b is U U* b."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, : _rank(s, n, a.shape[1])]
+
+
+def _complement(a: np.ndarray, n: int) -> np.ndarray:
+    """Orthonormal columns Q spanning what _solve(a, ., n) cannot fit: its residual is -Q Q* b.
+
+    Q is the left singular vectors at or below the cut and beyond a's
+    column count. A system of full row rank needs only singular values.
+    """
+    rows, columns = a.shape
+    if rows <= columns and _rank(np.linalg.svd(a, compute_uv=False), n, columns) == rows:
+        return np.zeros((rows, 0), dtype=a.dtype)
+    u, s, _ = np.linalg.svd(a, full_matrices=rows > columns)
+    return u[:, _rank(s, n, columns) :]
 
 
 def _fit(
@@ -108,7 +141,7 @@ def _fit(
     """
     rows = _support_rows(spectra, count, step)
     a = _translates(rows.spectra, rows.phases, count)
-    x = _solve(a, y[rows.bins], rows.n)
+    x = _solve(a, y[rows.bins], rows.n)[0]
     fit = np.zeros_like(y)
     fit[rows.bins] = a @ x
     return x.reshape(spectra.shape[1], -1), fit

@@ -188,7 +188,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = check_mra(phi, tol=args.tol)
     payload = serialize.mra_report_to_json(report)
     _write_json(args.out, payload)
-    worst_b = max((s.pointwise_residual for s in report.shift_solutions), default=0.0)
     human = "\n".join(
         [
             f"phi in D_{report.support_exp}^{report.period_exp}, p = {report.prime}",
@@ -196,7 +195,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             f"  L set                {list(report.lset.members)} "
             f"(#L = {report.lset.size}, bound {report.lset.bound})",
             f"  criterion            {report.criterion_ok}",
-            f"  shift expansions     worst residual {worst_b:.2e}, ok = {report.axiom_a_ok}",
+            f"  set rule p L in L    {report.set_rule_ok}",
+            f"  shift expansions     worst residual {report.axiom_a_residual:.2e} "
+            f"({report.axiom_a_route}; rank {report.fit_rank} on {report.fit_rows} bins), "
+            f"ok = {report.axiom_a_ok}",
             f"  orthonormal shifts   {report.orthonormality.verdict}",
             f"  haar equivalent      {report.haar_equivalent}",
         ]
@@ -248,6 +250,7 @@ def _cmd_wavelets(args: argparse.Namespace) -> int:
 def _cmd_frame(args: argparse.Namespace) -> int:
     ws = serialize.wavelet_set_from_json(_load_json(args.ws))
     report = frame_bounds(ws, tol=args.tol)
+    count = report.inclusion_count
     payload = serialize.frame_report_to_json(report)
     _write_json(args.out, payload)
     human = "\n".join(
@@ -255,6 +258,8 @@ def _cmd_frame(args: argparse.Namespace) -> int:
             f"generators            {report.generator_count}",
             f"frame bounds          A = {report.A:.9g}, B = {report.B:.9g}",
             f"inclusion residual    {report.inclusion_residual:.2e}",
+            f"inclusion count       |S| = {count.support_bins}, |T| = {count.target_bins}, "
+            f"r p^N = {count.wavelet_translates}, rank {count.rank}, d = {count.deficiency}",
             f"V0-orthogonality      {report.v0_residual:.2e}",
             f"verdict               {'PASS' if report.ok else 'FAIL'}",
         ]

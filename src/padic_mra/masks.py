@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, check_limits, check_tol
 from .errors import PreconditionError, SupportViolationError
-from .padic_core import PadicRational, character, character_phase
+from .padic_core import PadicRational, character
 from .test_functions import TestFunction, inv_fourier
 
 __all__ = [
@@ -149,22 +149,21 @@ def mask_from_roots(
             f"{len(zeros)} zeros exceed the degree budget p^(N+1)-1 = "
             f"{p ** (scale + 1) - 1}"
         )
-    phases = []
+    # Equal characters are equal fractional parts (z.num mod p^exp) / p^exp,
+    # in lowest terms as z is.
+    phases: set[tuple[int, int]] = set()
     for z in zeros:
         if z.prime != p:
             raise PreconditionError(f"zero {z} has prime {z.prime}, expected {p}")
-        ph = character_phase(z)
-        if ph == 0:
-            raise PreconditionError(
-                f"zero at {z} is a p-adic integer; m(0) = 1 forbids it"
-            )
-        if ph in phases:
+        phase = (z.num % p**z.exp, z.exp)
+        if phase[0] == 0:
+            raise PreconditionError(f"zero at {z} is a p-adic integer; m(0) = 1 forbids it")
+        if phase in phases:
             raise PreconditionError(f"duplicate zero character at {z}")
-        phases.append(ph)
+        phases.add(phase)
     poly = np.array([1.0 + 0j])
     for z in zeros:
-        root = character(z)
-        poly = np.convolve(poly, np.array([-root, 1.0 + 0j]))
+        poly = np.convolve(poly, np.array([-character(z), 1.0 + 0j]))
     poly = poly / np.sum(poly)  # P(1) != 0 exactly, since no zero has character 1
     return TrigPolynomial(p, poly, scale)
 

@@ -7,8 +7,9 @@ verdicts backed by residuals:
     cardinality bound #L <= p^N against p^N is the whole MRA criterion for
     refinable phi, so the set and its margins are first-class data.
   * recover_mask: fit the refinement equation phi(x) = sum_k h_k
-    phi(x/p - k/p^(N+1)) by least squares over the full refined grid.
-    The sup-norm residual of that identity is the refinability authority.
+    phi(x/p - k/p^(N+1)) by least squares on the transform side. The
+    sup-norm residual of that identity on the full refined grid is the
+    refinability authority.
   * shift_mask: express a translate phi(. - b) through phi, either at the
     same scale (coefficients on the translates phi(. - k/p^N), fitted on
     the bins where phi-hat lives and then verified pointwise) or through the
@@ -26,16 +27,16 @@ verdicts backed by residuals:
     indicator's L is the unit-ball residues p^M Z/p^(N+M), so span equality
     with its translates is the set equality of the two L sets.
 
-The mask fit and every refined-window expansion solve against the same
-window matrix; only the right-hand side changes, and for b = k/p^N it is
-the grid roll of the fit target by k. check_mra therefore factors the
-window once and solves the fit together with all p^N axiom-(a) expansions
-as one block of right-hand sides. By Plancherel the Gram row
-<phi, phi(. - d/p^N)> over every d is one inverse transform of |phi-hat|^2,
-and stage 1's character sums are entries of the same row. check_mra
-transforms phi once and hands that transform to the mean, the L set and
-the orthonormality stages. The translate kernels and the one least-squares
-solve, with its rank cut, are in _translates.
+The mask fit and every refined-window expansion are fits on the
+transform side (_Window), p residue classes sharing one #L x p^N block;
+when it has full row rank at the cut, the misfit of the translate by k/p^N
+is the roll by k of the fit's, so check_mra derives axiom (a) from the
+mask fit, and otherwise fits every translate on one SVD of the block. By Plancherel
+the Gram row <phi, phi(. - d/p^N)> over every d is one inverse transform
+of |phi-hat|^2, and stage 1's character sums are entries of the same row.
+check_mra transforms phi once for the mean, the L set, the mask fit and
+the orthonormality stages. The translate kernels and the one
+least-squares solve, with its rank cut, are in _translates.
 """
 
 from __future__ import annotations
@@ -47,12 +48,11 @@ import numpy as np
 from .config import DEFAULT_TOL, check_limits
 from .errors import NotRefinableError, PreconditionError
 from .masks import TrigPolynomial
-from ._translates import _fit, _roll_columns, _solve, _sup
+from ._translates import _fit, _range, _solve, _sup, _support_bins
 from .padic_core import PadicRational
 from .test_functions import (
     TestFunction,
     _inv_fourier_values,
-    dilate,
     fourier,
     norm_l2,
     reframe,
@@ -137,32 +137,54 @@ def _l_set(phi: TestFunction, hat: np.ndarray, tol: float) -> LSet:
 # Refinement-equation fitting
 
 
-def _window_solve(
-    phi: TestFunction, target: np.ndarray, rolls: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares taps on the refined window for the rolls of target by k < rolls.
+class _Window:
+    """The refinement window of phi on the transform side, and its fit.
 
-    The window generators phi(x/p - k/p^(N+1)) are the grid translates by
-    k/p^N of the dilate g = phi(x/p) on the frame (N, M+1), which carries
-    every value of the refined grid, so residuals there are the full story.
-    g vanishes off p Z, so generator k only meets grid rows a = k (mod p):
-    the window splits into p identical blocks G[i, j] = g(p (i - j)), one
-    per residue r, pairing rows a = r + p i with taps k = r + p j. One solve
-    factors G once for every residue and every roll of target, with the
-    rank cut of the full window on all p^(N+M+1) rows.
-    Returns the taps (p^(N+1) x rolls) and each roll's sup residual.
+    hat is phi's transform on (N, M), targets are those of functions in
+    D_N^M. The window is the rolls by k < p^(N+1) of g = phi(x/p) on
+    (N, M+1), whose transform G(s) = hat(s mod q)/p has period q = p^(N+M).
+    At bin s0 + j q tap k = r + p m has the phase v^r w^m omega^(j r), with
+    v = e^(2 pi i s0/n), w = e^(2 pi i s0/q), omega = e^(2 pi i/p): a DFT
+    over j splits the fit into p classes r sharing the block G(s0) w^m on
+    the bins s0 < q where G lives. One solve takes every class and target;
+    the residual is the space sup of the misfit on the refined grid.
     """
-    N, M = phi.frame
-    p = phi.prime
-    g = reframe(dilate(phi, -1), N, M + 1)
-    block = _roll_columns(g.values[::p], p**N)
-    targets = _roll_columns(target, rolls)
-    rows, width = block.shape[0], rolls
-    # Column r * width + c of rhs holds the rows a = r (mod p) of target c.
-    rhs = targets.reshape(rows, p * width)
-    taps = _solve(block, rhs, p ** (N + M + 1))
-    misfit = np.abs(block @ taps - rhs).reshape(rows * p, width)
-    return taps.reshape(p ** (N + 1), width), np.max(misfit, axis=0, initial=0.0)
+
+    def __init__(self, hat: np.ndarray, p: int, N: int, M: int):
+        self.p, self.N, self.q = p, N, p ** (N + M)
+        self.n = p * self.q
+        self.s0 = _support_bins(hat[:, None])
+        self.rows = self.s0.size
+        w = np.exp(2j * np.pi * np.arange(self.q) / self.q)
+        self.block = w[(self.s0[:, None] * np.arange(p**N)) % self.q] * (hat[self.s0, None] / p)
+        # dft[r, j] = omega^(-j r) / p; v[:, r] = v^r on the kept bins.
+        self.dft = np.exp(-2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p) / p
+        self.v = np.exp(2j * np.pi * ((self.s0[:, None] * np.arange(p)) % self.n) / self.n)
+
+    def split(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The targets on the refined grid, and their class right-hand sides (rows x p targets)."""
+        p, width = self.p, targets.shape[1]
+        refined = np.zeros((self.n, width), dtype=np.complex128)
+        refined[::p] = targets
+        refined = refined.reshape(p, self.q, width)
+        classes = np.einsum("rj,jst->srt", self.dft, refined[:, self.s0])
+        return refined, (classes * self.v.conj()[:, :, None]).reshape(self.rows, -1)
+
+    def residuals(self, refined: np.ndarray, fit: np.ndarray) -> np.ndarray:
+        """Sup residual in space of each target, given the fit of its class right-hand sides."""
+        p, width = self.p, refined.shape[2]
+        fit = fit.reshape(self.rows, p, width) * self.v[:, :, None]
+        misfit = -refined
+        misfit[:, self.s0] += np.einsum("jr,srt->jst", p * self.dft.conj(), fit)
+        space = _inv_fourier_values(misfit.reshape(self.n, width), p, self.N)
+        return np.max(np.abs(space), axis=0, initial=0.0)
+
+    def fit(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Taps (p^(N+1) x targets), sup residuals, and the block's rank at the cut."""
+        refined, rhs = self.split(targets)
+        x, rank = _solve(self.block, rhs, self.n)
+        taps = x.reshape(self.p ** (self.N + 1), targets.shape[1])
+        return taps, self.residuals(refined, self.block @ x), rank
 
 
 @dataclass
@@ -181,19 +203,20 @@ class MaskRecovery:
 def recover_mask(phi: TestFunction, tol: float = DEFAULT_TOL) -> MaskRecovery:
     """Fit the refinement equation; raise NotRefinableError when it fails.
 
-    The minimum-norm least-squares solution over the full refined grid is
-    used directly: if any tap vector satisfies the identity to tolerance,
-    the minimizer does too, so success is equivalent to solvability.
+    The minimum-norm least-squares solution on the bins where phi(x/p)
+    lives is used directly: if any tap vector satisfies the identity to
+    tolerance, the minimizer does too, so success is equivalent to
+    solvability. Its residual is measured on the full refined grid.
     """
     N, M = _require_frame(phi)
     check_limits(phi.prime, N + M + 1, tol)
-    hat0 = fourier(phi).values[0]
-    if abs(hat0) <= tol:
+    hat = fourier(phi).values
+    if abs(hat[0]) <= tol:
         raise PreconditionError(
-            f"phi integrates to {hat0:.3e}; a scaling candidate needs "
+            f"phi integrates to {hat[0]:.3e}; a scaling candidate needs "
             "a nonzero mean"
         )
-    taps, residuals = _window_solve(phi, reframe(phi, N, M + 1).values, 1)
+    taps, residuals, _ = _Window(hat, phi.prime, N, M).fit(hat[:, None])
     mask = TrigPolynomial.from_taps(phi.prime, taps[:, 0], scale=N)
     fit = MaskRecovery(mask, float(residuals[0]), tol)
     if not fit.ok:
@@ -214,7 +237,7 @@ class ShiftMaskSolution:
     phi-hat lives; the residual is the sup misfit of the identity in space,
     one inverse transform of the transform misfit.
     mode 'refined': phi(. - b) ~ sum_{k < p^(N+1)} h_k phi(x/p - k/p^(N+1)),
-    solved and measured on the refined grid.
+    fitted on the transform side and measured on the refined grid.
     """
 
     b: PadicRational
@@ -242,16 +265,14 @@ def shift_mask(
     if b.norm() > p**N:
         raise PreconditionError(f"|b|_p = {b.norm():g} exceeds p^N = {p**N}")
 
+    # |b|_p <= p^N keeps phi(. - b) on phi's frame, where a translate by
+    # k/p^N is a roll by k.
+    target = fourier(shift(phi, b)).values
     if same_scale:
-        # |b|_p <= p^N keeps phi(. - b) on phi's frame, where a translate by
-        # k/p^N is a roll by k.
-        target = fourier(shift(phi, b)).values
         (alpha,), fit = _fit(fourier(phi).values[:, None], target, p**N)
         residual = _sup(_inv_fourier_values(fit - target, p, N))
         return ShiftMaskSolution(b, "same_scale", alpha, residual, tol)
-
-    target = reframe(shift(phi, b), N, M + 1).values
-    taps, residuals = _window_solve(phi, target, 1)
+    taps, residuals, _ = _Window(fourier(phi).values, p, N, M).fit(target[:, None])
     return ShiftMaskSolution(b, "refined", taps[:, 0], float(residuals[0]), tol)
 
 
@@ -373,11 +394,17 @@ def check_haar_equivalence(phi: TestFunction, tol: float = DEFAULT_TOL) -> bool:
 class MraReport:
     """Everything check_mra measured, with the criterion verdict.
 
-    criterion_ok is exactly: refinable, and #L <= p^N. Axiom (a) is
-    recorded alongside, through refined-window shift expansions for every
-    b = k/p^N. haar_equivalent is None unless the translates are
-    orthonormal and the criterion holds; then it says whether L is the
-    unit-ball residues p^M Z/p^(N+M).
+    criterion_ok is exactly: refinable, and #L <= p^N. The mask fit's block
+    has rank fit_rank on fit_rows bins. axiom_a_residual is the largest
+    residual of the window expansions of phi(. - k/p^N), k < p^N: with
+    axiom_a_route "derived" the rank is full (#L <= p^N gives this), so
+    the misfit of roll k is the roll of the fit's and the residual is
+    refine_residual; with "solved" every roll was fitted on one SVD of
+    the same block.
+    set_rule_ok, p L within L mod p^(N+M), is forced by refinability and
+    under the count implies it: a cross-check read off the L set.
+    haar_equivalent is None unless the translates are orthonormal and the
+    criterion holds; then it says whether L is the unit-ball residues.
     """
 
     prime: int
@@ -390,10 +417,32 @@ class MraReport:
     recovered_mask: TrigPolynomial | None
     lset: LSet
     criterion_ok: bool
-    shift_solutions: list[ShiftMaskSolution]
+    fit_rows: int
+    fit_rank: int
+    axiom_a_residual: float
+    axiom_a_route: str
     axiom_a_ok: bool
+    set_rule_ok: bool
     orthonormality: OrthonormalityReport
     haar_equivalent: bool | None
+
+
+def _translate_residuals(window: _Window, hat: np.ndarray) -> np.ndarray:
+    """Window residuals of phi(. - k/p^N) for 0 < k < p^N, on one factorization.
+
+    The fit of a target on the kept bins is its projection on the block's
+    range at the cut (_range), so every chunk of translates, about 2^20
+    refined grid values, reuses one SVD.
+    """
+    q, rolls = window.q, window.p**window.N
+    u = _range(window.block, window.n)
+    chunks = np.array_split(np.arange(1, rolls), max(1, -(-rolls * window.n // 2**20)))
+    out = []
+    for ks in chunks:
+        rolled = hat[:, None] * np.exp(2j * np.pi * ((np.arange(q)[:, None] * ks) % q) / q)
+        refined, rhs = window.split(rolled)
+        out.append(window.residuals(refined, u @ (u.conj().T @ rhs)))
+    return np.concatenate(out)
 
 
 def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
@@ -416,8 +465,8 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
     p = phi.prime
     check_limits(p, N + M + 1, tol)
 
-    # One transform serves the mean phi-hat(0) = p^-M sum phi, the L set and
-    # the orthonormality stages.
+    # One transform serves the mean phi-hat(0) = p^-M sum phi, the L set,
+    # the mask fit and the orthonormality stages.
     hat = fourier(phi).values
     hat0 = hat[0]
     if abs(hat0) <= tol:
@@ -426,18 +475,22 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
             "nonzero mean"
         )
 
-    # Roll k of the fit target is phi(. - k/p^N) on the refined grid; roll 0
-    # is phi itself, so it doubles as the mask fit.
-    target = reframe(phi, N, M + 1).values
-    taps, residuals = _window_solve(phi, target, p**N)
-    solutions = [
-        ShiftMaskSolution(PadicRational(p, k, N), "refined", taps[:, k], float(res), tol)
-        for k, res in enumerate(residuals)
-    ]
-    axiom_a_ok = all(s.ok for s in solutions)
-    refinable = solutions[0].ok
+    # The mask fit is the fit of phi itself, and its solve gives the block's
+    # rank. At full row rank every target is met on the kept bins and the
+    # misfit of the translate by k/p^N is the roll by k of the fit's, so
+    # the fit decides axiom (a); otherwise every translate is fitted.
+    window = _Window(hat, p, N, M)
+    taps, residuals, rank = window.fit(hat[:, None])
+    route = "derived" if rank == window.rows else "solved"
+    refine_residual = float(residuals[0])
+    refinable = refine_residual <= tol
+    axiom_a_residual = refine_residual
+    if route == "solved":
+        axiom_a_residual = float(np.max(_translate_residuals(window, hat), initial=refine_residual))
     ls = _l_set(phi, hat, tol)
     criterion_ok = bool(refinable and ls.within_bound)
+    members = np.array(ls.members, dtype=np.int64)
+    set_rule_ok = bool(np.all(np.isin(p * members % p ** (N + M), members)))
 
     ortho = _orthonormality(phi, hat, tol)
     haar_equivalent = None
@@ -450,12 +503,16 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
         tol=tol,
         mean_value=complex(hat0),
         refinable=refinable,
-        refine_residual=solutions[0].pointwise_residual,
+        refine_residual=refine_residual,
         recovered_mask=TrigPolynomial.from_taps(p, taps[:, 0], scale=N) if refinable else None,
         lset=ls,
         criterion_ok=criterion_ok,
-        shift_solutions=solutions,
-        axiom_a_ok=bool(axiom_a_ok),
+        fit_rows=window.rows,
+        fit_rank=rank,
+        axiom_a_residual=axiom_a_residual,
+        axiom_a_route=route,
+        axiom_a_ok=axiom_a_residual <= tol,
+        set_rule_ok=set_rule_ok,
         orthonormality=ortho,
         haar_equivalent=haar_equivalent,
     )

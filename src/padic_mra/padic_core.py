@@ -161,11 +161,12 @@ def character_phase(x: PadicRational) -> Fraction:
 
 
 def character(x: PadicRational) -> complex:
-    """The additive character chi_p(x) = exp(2*pi*i*{x}_p)."""
-    theta = character_phase(x)
-    if theta == 0:
-        return 1.0 + 0.0j
-    return cmath.exp(2j * math.pi * float(theta))
+    """The additive character chi_p(x) = exp(2*pi*i*{x}_p).
+
+    {x}_p = (num mod p^exp) / p^exp, whose float is the correctly rounded quotient.
+    """
+    den = x.prime**x.exp
+    return cmath.exp(2j * math.pi * (x.num % den / den)) if x.num % den else 1.0 + 0.0j
 
 
 def enumerate_Ip_ball(p: int, N: int) -> list[PadicRational]:

@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .masks import TrigPolynomial
-from .mra import LSet, MraReport, OrthonormalityReport, ShiftMaskSolution
+from .mra import LSet, MraReport, OrthonormalityReport
 from .padic_core import PadicRational
 from .test_functions import TestFunction
 from .wavelets import CoefficientTree, FrameReport, WaveletSet
@@ -31,7 +31,6 @@ __all__ = [
     "wavelet_set_from_json",
     "tree_to_json",
     "lset_to_json",
-    "shift_solution_to_json",
     "orthonormality_to_json",
     "mra_report_to_json",
     "frame_report_to_json",
@@ -144,16 +143,6 @@ def lset_to_json(ls: LSet) -> dict:
     }
 
 
-def shift_solution_to_json(s: ShiftMaskSolution) -> dict:
-    return {
-        "b": rational_to_json(s.b),
-        "mode": s.mode,
-        "coefficients": _pairs(s.coefficients),
-        "pointwise_residual": s.pointwise_residual,
-        "ok": s.ok,
-    }
-
-
 def orthonormality_to_json(r: OrthonormalityReport) -> dict:
     return {
         "tol": r.tol,
@@ -181,19 +170,31 @@ def mra_report_to_json(r: MraReport) -> dict:
         "recovered_mask": mask_to_json(r.recovered_mask) if r.recovered_mask else None,
         "lset": lset_to_json(r.lset),
         "criterion_ok": r.criterion_ok,
-        "shift_solutions": [shift_solution_to_json(s) for s in r.shift_solutions],
+        "fit_rows": r.fit_rows,
+        "fit_rank": r.fit_rank,
+        "axiom_a_residual": r.axiom_a_residual,
+        "axiom_a_route": r.axiom_a_route,
         "axiom_a_ok": r.axiom_a_ok,
+        "set_rule_ok": r.set_rule_ok,
         "orthonormal": orthonormality_to_json(r.orthonormality),
         "haar_equivalent": r.haar_equivalent,
     }
 
 
 def frame_report_to_json(r: FrameReport) -> dict:
+    count = r.inclusion_count
     return {
         "A": r.A,
         "B": r.B,
         "spectrum": [float(x) for x in r.spectrum],
         "inclusion_residual": r.inclusion_residual,
+        "inclusion_count": {
+            "support_bins": count.support_bins,
+            "target_bins": count.target_bins,
+            "wavelet_translates": count.wavelet_translates,
+            "rank": count.rank,
+            "deficiency": count.deficiency,
+        },
         "v0_residual": r.v0_residual,
         "factorization_residual": r.factorization_residual,
         "generator_count": r.generator_count,

@@ -34,11 +34,14 @@ expanded taps of a supplied mask can be of any size.
 Frame quality is read off the Gram matrix of the translate system: on the
 span, sum_i |<f, g_i>|^2 sits between A and B times ||f||^2 exactly when A
 and B are the extreme nonzero Gram eigenvalues. The inclusion test and the
-Gram are solved on the support rows of _translates, the bins where
-phi(x/p), phi or some wavelet lives: p #L of them for a valid set. The one
-batched transform that picks those bins also gives the V_0 residual and
-the factorization residual, which checks each given wavelet against its
-mask, so verify_wavelet_set and frame_bounds transform each generator once.
+Gram are computed on the support rows of _translates, the bins where
+phi(x/p), phi or some wavelet lives: p #L of them for a valid set. The
+inclusion test solves for no target: one SVD of the span gives the d
+directions it cannot reach, and the misfit of every target is its
+component along them, zero when d = 0. The one batched transform that
+picks those bins also gives the V_0 residual and the factorization
+residual, which checks each given wavelet against its mask, so
+verify_wavelet_set and frame_bounds transform each generator once.
 
 The multilevel transform runs on support rows too. A translate by
 k/p^(N+j) before the dilation by p^-j is one by k/p^N after it, a roll by
@@ -63,17 +66,17 @@ from .config import DEFAULT_TOL, check_limits
 from .errors import PreconditionError, UnsupportedConfigurationError, VerificationError
 from ._translates import (
     _SupportRows,
+    _complement,
     _fit,
     _project,
-    _solve,
     _sup,
+    _support_bins,
     _support_rows,
     _translate_sum,
     _translates,
 )
 from .masks import TrigPolynomial, haar_mask
 from .mra import LSet, _l_set, l_set
-from .padic_core import PadicRational, character
 from .test_functions import (
     TestFunction,
     _fourier_values,
@@ -92,6 +95,7 @@ __all__ = [
     "build_wavelet_set",
     "verify_wavelet_set",
     "WaveletVerification",
+    "InclusionCount",
     "FrameReport",
     "frame_bounds",
     "kozyrev_set",
@@ -142,10 +146,14 @@ def _window_masks(phi: TestFunction, m0: TrigPolynomial, ls: LSet) -> list[TrigP
             f"deg m_0 = {m0.degree} exceeds (p-1) p^N = {(p - 1) * p**N}; "
             "the tap-window construction does not apply"
         )
-    base = np.array([1.0 + 0j])
+    # B's coefficients from its values on the depth-(N+M+1) grid, whose nodes p l are its
+    # roots chi_p(l/p^(M+N)): expanded root by root, they lost those zeros at large #L.
+    n = p ** (N + M + 1)
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    values = np.ones(n, dtype=np.complex128)
     for l in ls.members:
-        root = character(PadicRational(p, l, M + N))
-        base = np.convolve(base, np.array([-root, 1.0 + 0j]))
+        values *= z - z[p * l]
+    base = np.array([np.mean(values * z[-k * np.arange(n) % n]) for k in range(ls.size + 1)])
     masks = []
     for nu in range(1, p):
         coeffs = np.concatenate([np.zeros((nu - 1) * p**N, dtype=np.complex128), base])
@@ -331,13 +339,28 @@ def build_wavelet_set(
 
 
 @dataclass
+class InclusionCount:
+    """The count behind V_1 = V_0 + W_0: the bins |S| where phi, phi(x/p) or a
+    wavelet lives, the bins |T| of phi(x/p) (p #L for a valid set), the r p^N
+    wavelet translates, the rank of the unit-norm span on S at the solve's
+    cut, and the deficiency d = |S| - rank, zero when inclusion holds."""
+
+    support_bins: int
+    target_bins: int
+    wavelet_translates: int
+    rank: int
+    deficiency: int
+
+
+@dataclass
 class WaveletVerification:
-    """Residual evidence that a wavelet set is one."""
+    """Residual evidence that a wavelet set is one, with the inclusion count."""
 
     tol: float
     v0_residual: float
     factorization_residual: float
     inclusion_residual: float
+    inclusion_count: InclusionCount
 
     @property
     def ok(self) -> bool:
@@ -358,39 +381,48 @@ def _spectra(ws: WaveletSet) -> np.ndarray:
     return _fourier_values(np.column_stack([g.values for g in gens]), ws.prime, M + 1)
 
 
-def _inclusion_residual(ws: WaveletSet, rows: _SupportRows) -> float:
-    """Relative sup residual of phi(x/p - a) through the level-0 translates.
+def _inclusion(ws: WaveletSet, rows: _SupportRows, target_bins: int) -> tuple[float, InclusionCount]:
+    """Relative sup residual of phi(x/p - a) through the level-0 translates, with its count.
 
-    The space-domain residual is the inverse transform of the kept-bin
-    residual.
+    With Q the directions of the support rows the span cannot reach
+    (_complement), target t misses by -Q Q* t there and by (F^-1 Q)(Q* t) in
+    space: Q is transformed once for all p^(N+1) targets, none when d = 0.
     """
+    p, N = ws.prime, ws.support_exp
     gens = rows.spectra[:, :-1]
     norms = np.linalg.norm(gens, axis=0)
     gens = gens / np.where(norms > 0, norms, 1.0)
-    span = _translates(gens, rows.phases, ws.prime**ws.support_exp)
-    targets = rows.spectra[:, -1:] * rows.phases
-    sol = _solve(span, targets, rows.n)
-    misfit = np.zeros((rows.n, targets.shape[1]), dtype=np.complex128)
-    misfit[rows.bins] = span @ sol - targets
-    space = _inv_fourier_values(misfit, ws.prime, ws.support_exp)
-    return _relative(_sup(space), _sup(ws.phi.values))
+    q = _complement(_translates(gens, rows.phases, p**N), rows.n)
+    d = q.shape[1]
+    count = InclusionCount(rows.bins.size, target_bins, ws.r * p**N, rows.bins.size - d, d)
+    if d == 0:
+        return 0.0, count
+    reach = q.conj().T @ (rows.spectra[:, -1:] * rows.phases)
+    padded = np.zeros((rows.n, d), dtype=np.complex128)
+    padded[rows.bins] = q
+    basis = _inv_fourier_values(padded, p, N)
+    chunk = max(1, 2**20 // rows.n)
+    worst = max(_sup(basis @ reach[:, i : i + chunk]) for i in range(0, reach.shape[1], chunk))
+    return _relative(worst, _sup(ws.phi.values)), count
 
 
 def _verify(ws: WaveletSet, tol: float) -> tuple[WaveletVerification, _SupportRows]:
     """verify_wavelet_set, with the support rows that frame_bounds reuses.
 
     The full spectra are dropped once the per-wavelet residuals are read,
-    before the inclusion solve builds its misfit.
+    before the inclusion test transforms its misfit basis.
     """
     spectra = _spectra(ws)
     rows = _support_rows(spectra, ws.prime ** (ws.support_exp + 1))
+    target_bins = _support_bins(spectra[:, -1:]).size
     v0 = 0.0
     fact = 0.0
     for i, (mk, psi) in enumerate(zip(ws.masks, ws.wavelets)):
         f, o = _wavelet_residuals(ws.phi, spectra[:, 0], mk, psi, spectra[:, 1 + i])
         fact, v0 = max(fact, f), max(v0, o)
     del spectra
-    return WaveletVerification(tol, v0, fact, _inclusion_residual(ws, rows)), rows
+    inclusion, count = _inclusion(ws, rows, target_bins)
+    return WaveletVerification(tol, v0, fact, inclusion, count), rows
 
 
 def verify_wavelet_set(ws: WaveletSet, tol: float | None = None) -> WaveletVerification:
@@ -402,7 +434,7 @@ def verify_wavelet_set(ws: WaveletSet, tol: float | None = None) -> WaveletVerif
     on the support rows, its span columns scaled to unit norm so that the
     rank cut does not drop the phi columns beside much larger wavelet
     columns; the residual is the space-domain sup residual relative to the
-    largest target value.
+    largest target value. The report carries the count behind it.
     """
     tol = ws.tol if tol is None else tol
     check_limits(ws.prime, ws.support_exp + ws.period_exp + 1, tol)
@@ -414,26 +446,17 @@ def verify_wavelet_set(ws: WaveletSet, tol: float | None = None) -> WaveletVerif
 
 
 @dataclass
-class FrameReport:
-    """Spectral frame bounds of the level-0 wavelet translate system."""
+class FrameReport(WaveletVerification):
+    """The verification of a set, with the spectral frame bounds of its level-0 translates."""
 
     A: float
     B: float
     spectrum: np.ndarray
-    inclusion_residual: float
-    v0_residual: float
-    factorization_residual: float
     generator_count: int
-    tol: float
 
     @property
     def ok(self) -> bool:
-        return (
-            0 < self.A <= self.B
-            and self.v0_residual <= self.tol
-            and self.factorization_residual <= self.tol
-            and self.inclusion_residual <= self.tol
-        )
+        return 0 < self.A <= self.B and super().ok
 
 
 def frame_bounds(ws: WaveletSet, tol: float | None = None) -> FrameReport:
@@ -462,14 +485,11 @@ def frame_bounds(ws: WaveletSet, tol: float | None = None) -> FrameReport:
     # lam_max > 0 clears its own floor, so above is never empty
     above = spectrum[spectrum > _RANK_REL * lam_max]
     return FrameReport(
+        **vars(verification),
         A=float(above[0]),
         B=lam_max,
         spectrum=np.asarray(spectrum),
-        inclusion_residual=verification.inclusion_residual,
-        v0_residual=verification.v0_residual,
-        factorization_residual=verification.factorization_residual,
         generator_count=a.shape[1],
-        tol=tol,
     )
 
 

@@ -6,7 +6,8 @@ Gram and V_0 scans as one roll and inner product per offset,
 inner products as measure-weighted sums of point evaluations on a finer
 grid, polynomial products by schoolbook convolution, the depth product
 one point at a time, one refinement step by a tap-weighted sum of rolls
-or on the transform side, each wavelet as the tap-weighted sum of rolls of
+or on the transform side, the refinement window and its rolled targets as
+one dense space-domain block (oracle_window_solve), each wavelet as the tap-weighted sum of rolls of
 its mask (oracle_tap_sum), the transform's level matrices column by
 column through shift, dilate and reframe and the multilevel transform as
 dense least-squares solves on them, the wavelet masks with the degree
@@ -176,6 +177,39 @@ def oracle_tap_sum(phi: TestFunction, mask: TrigPolynomial) -> TestFunction:
     for k, tap in enumerate(mask.taps):
         acc += tap * np.roll(g.values, k)
     return TestFunction(phi.prime, N, M + 1, acc)
+
+
+def oracle_roll_columns(values: np.ndarray, count: int) -> np.ndarray:
+    """Matrix whose column k is np.roll(values, k), for 0 <= k < count, by an index gather."""
+    idx = np.arange(values.shape[0])
+    return values[(idx[:, None] - np.arange(count)[None, :]) % values.shape[0]]
+
+
+def oracle_window_solve(
+    phi: TestFunction, target: np.ndarray, rolls: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Window taps and sup residuals for the rolls of target by k < rolls, in space.
+
+    The window generators phi(x/p - k/p^(N+1)) are the rolls by k of the
+    dilate g = phi(x/p) on the frame (N, M+1). g vanishes off p Z, so
+    generator k meets only the grid rows a = k (mod p), and the window
+    splits into p identical blocks g(p (i - j)), one per residue. Every
+    residue of every roll is solved against that block by lstsq with the
+    full window's rank cut, on all p^(N+M+1) rows. Returns the taps
+    (p^(N+1) x rolls) and each roll's sup residual.
+    """
+    N, M = phi.frame
+    p = phi.prime
+    g = reframe(dilate(phi, -1), N, M + 1)
+    block = oracle_roll_columns(g.values[::p], p**N)
+    targets = oracle_roll_columns(target, rolls)
+    rows = block.shape[0]
+    # Column r * rolls + c of rhs holds the rows a = r (mod p) of target c.
+    rhs = targets.reshape(rows, p * rolls)
+    rcond = np.finfo(float).eps * max(p ** (N + M + 1), block.shape[1])
+    taps = np.linalg.lstsq(block, rhs, rcond=rcond)[0]
+    misfit = np.abs(block @ taps - rhs).reshape(rows * p, rolls)
+    return taps.reshape(p ** (N + 1), rolls), np.max(misfit, axis=0, initial=0.0)
 
 
 def oracle_apply_refinement(m: TrigPolynomial, f: TestFunction) -> TestFunction:

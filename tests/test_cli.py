@@ -190,6 +190,9 @@ class TestMaskPipeline:
         doc = json.loads(out)
         assert doc["criterion_ok"] is True
         assert doc["lset"]["members"] == [0, 4, 6, 7]
+        # #L = p^N: the window block has full row rank on the 4 bins of L
+        assert (doc["fit_rows"], doc["fit_rank"], doc["axiom_a_route"]) == (4, 4, "derived")
+        assert doc["set_rule_ok"] is True and doc["axiom_a_ok"] is True
 
         code, out = run(capsys, "ortho", "--phi", str(phi_file), "--json")
         assert code == 1  # shifts are not orthonormal; that is the verdict
@@ -212,6 +215,9 @@ class TestMaskPipeline:
         assert code == 0
         doc = json.loads(out)
         assert 0 < doc["A"] <= doc["B"]
+        assert doc["inclusion_count"] == {
+            "support_bins": 8, "target_bins": 8, "wavelet_translates": 4, "rank": 8, "deficiency": 0
+        }
 
     def test_mask_eval(self, tmp_path, capsys):
         mask_file = tmp_path / "haarlike.json"

@@ -88,6 +88,21 @@ class TestMaskFromRoots:
         with pytest.raises(PreconditionError):
             mask_from_roots(2, 1, [PadicRational(2, 2, 0)])
 
+    def test_coefficients_are_the_character_product_bit_for_bit(self):
+        # one np.convolve per root, each root the character of its zero
+        rng = np.random.default_rng(17)
+        for p, N in ((2, 6), (3, 3), (5, 2)):
+            for _ in range(5):
+                depths = rng.integers(1, N + 3, size=p ** (N + 1) - 1)
+                zeros = {PadicRational(p, int(rng.integers(1, p**t)), int(t)) for t in depths}
+                # distinct points of (0, 1): distinct characters, none equal to 1
+                zeros = [z for z in zeros if z.exp > 0]
+                poly = np.array([1.0 + 0j])
+                for z in zeros:
+                    poly = np.convolve(poly, np.array([-character(z), 1.0 + 0j]))
+                got = mask_from_roots(p, N, zeros).coeffs
+                assert np.array_equal(got, poly / np.sum(poly))
+
     def test_rejects_budget_overflow(self):
         zeros = [PadicRational(2, k, 3) for k in range(1, 8, 2)]
         assert len(zeros) == 4  # budget for scale 0 is 2^1 - 1 = 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,14 +15,21 @@ from padic_mra import (
     dilate,
     fourier,
     haar_mask,
+    inv_fourier,
     l_set,
     mask_from_roots,
     omega,
     recover_mask,
     refinable_from_mask,
+    reframe,
     shift_mask,
 )
-from conftest import oracle_gram_residual, oracle_haar_span_residual
+from conftest import (
+    oracle_fourier,
+    oracle_gram_residual,
+    oracle_haar_span_residual,
+    oracle_window_solve,
+)
 from padic_mra.errors import NotRefinableError, PreconditionError, SupportViolationError
 from padic_mra.generators import (
     random_covering_mask,
@@ -33,6 +42,12 @@ from padic_mra.padic_core import PadicRational, enumerate_Ip_ball
 def _covering_phi_p2_n4():
     mask = random_covering_mask(np.random.default_rng(11), 2, 4, 1)
     return refinable_from_mask(mask, 1)
+
+
+def _oversized_phi():
+    # three prescribed zeros at scale 1 leave #L = 3 > p^N = 2
+    zeros = [PadicRational(2, 1, 2), PadicRational(2, 3, 3), PadicRational(2, 7, 3)]
+    return refinable_from_mask(mask_from_roots(2, 1, zeros), 1)
 
 
 class TestLSet:
@@ -92,13 +107,7 @@ class TestShiftMask:
             assert sol.ok, f"refined shift mask failed at b = {b}"
 
     def test_oversized_lset_blocks_refined_mode(self):
-        # three prescribed zeros at scale 1 leave #L = 3 > p^N = 2
-        m = mask_from_roots(
-            2,
-            1,
-            [PadicRational(2, 1, 2), PadicRational(2, 3, 3), PadicRational(2, 7, 3)],
-        )
-        phi = refinable_from_mask(m, 1)
+        phi = _oversized_phi()
         ls = l_set(phi)
         assert not ls.within_bound
         results = [
@@ -160,7 +169,7 @@ class TestCheckMra:
             want = fourier(phi).values[0]
             assert abs(check_mra(phi).mean_value - want) <= 1e-13 * abs(want)
 
-    @pytest.mark.parametrize("case", ["haar2", "haar3", "quartic", "covering"])
+    @pytest.mark.parametrize("case", ["haar2", "haar3", "quartic", "covering", "oversized"])
     def test_axiom_a_block_matches_per_translate_solves(self, case, quartic_phi):
         phi = {
             # the ball indicator framed at N = 1, so p translates per block
@@ -168,19 +177,27 @@ class TestCheckMra:
             "haar3": lambda: omega(3, 1, 1),
             "quartic": lambda: quartic_phi,
             "covering": _covering_phi_p2_n4,
+            # #L = 3 > p^N = 2: every roll is solved
+            "oversized": _oversized_phi,
         }[case]()
-        p, N = phi.prime, phi.support_exp
+        p, (N, M) = phi.prime, phi.frame
         report = check_mra(phi)
-        assert len(report.shift_solutions) == p**N
-        for k, sol in enumerate(report.shift_solutions):
-            b = PadicRational(p, k, N)
-            single = shift_mask(phi, b, same_scale=False)
-            assert sol.b == b
-            assert sol.mode == single.mode == "refined"
-            assert sol.ok == single.ok
-            assert np.max(np.abs(sol.coefficients - single.coefficients)) <= 1e-10
+        assert report.axiom_a_route == ("solved" if case == "oversized" else "derived")
+        taps, residuals = oracle_window_solve(phi, reframe(phi, N, M + 1).values, p**N)
+        scale = np.max(np.abs(phi.values))
+        assert report.axiom_a_ok == bool(np.all(residuals <= report.tol))
+        assert abs(report.axiom_a_residual - np.max(residuals)) <= 1e-12 * scale
+        assert abs(report.refine_residual - residuals[0]) <= 1e-12 * scale
+        for k in range(p**N):
+            single = shift_mask(phi, PadicRational(p, k, N), same_scale=False)
+            assert single.mode == "refined"
+            assert single.ok == (residuals[k] <= report.tol)
+            assert abs(single.pointwise_residual - residuals[k]) <= 1e-12 * scale
+            assert np.max(np.abs(single.coefficients - taps[:, k])) <= 1e-10
         fit = recover_mask(phi)
-        assert np.max(np.abs(report.recovered_mask.taps - fit.mask.taps)) <= 1e-10
+        assert np.max(np.abs(fit.mask.taps - taps[:, 0])) <= 1e-10
+        if report.refinable:
+            assert np.max(np.abs(report.recovered_mask.taps - taps[:, 0])) <= 1e-10
 
     def test_one_lstsq_for_fit_and_axiom_a(self, quartic_phi, monkeypatch):
         unimodular = refinable_from_mask(random_unimodular_mask(np.random.default_rng(4), 2, 2), 1)
@@ -194,12 +211,13 @@ class TestCheckMra:
         monkeypatch.setattr(np.linalg, "lstsq", counting)
         # Haar equivalence is read off the L set, whether it is decided
         # (orthonormal translates) or not (the quartic): the only solve is
-        # the window block
+        # the window block's, also when every translate is fitted (#L > p^N)
         for phi, haar in (
             (quartic_phi, None),
             (omega(2, 1, 1), True),
             (omega(3, 1, 1), True),
             (unimodular, True),
+            (_oversized_phi(), None),
         ):
             calls.clear()
             assert check_mra(phi).haar_equivalent is haar
@@ -310,3 +328,116 @@ class TestHaarEquivalence:
     def test_requires_orthonormal_shifts(self, quartic_phi):
         with pytest.raises(PreconditionError):
             check_haar_equivalence(quartic_phi)
+
+
+def _random_support_phi(rng, p, N, M, closed):
+    """phi whose transform is random on a random L with 0 in L and #L <= p^N.
+
+    closed=True builds L from whole orbits l, p l, p^2 l, ... mod p^(N+M),
+    so p L lies in L; otherwise L is any such set.
+    """
+    q = p ** (N + M)
+    size = int(rng.integers(1, p**N + 1))
+    members = {0}
+    for _ in range(8 * size):
+        if len(members) >= size:
+            break
+        l = int(rng.integers(1, q))
+        orbit = {l * p**i % q for i in range(N + M + 1)} if closed else {l}
+        if len(members | orbit) <= p**N:
+            members |= orbit
+    hat = np.zeros(q, dtype=np.complex128)
+    idx = np.array(sorted(members))
+    hat[idx] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
+    hat[0] = 1.0
+    return inv_fourier(TestFunction(p, M, N, hat))
+
+
+@pytest.fixture(scope="module")
+def window_sweep():
+    """Seeded draws on both sides of the count and of refinability.
+
+    Covering masks (refinable, #L on both sides of p^N), unimodular masks
+    (#L = p^N), random transforms on a random L under the count, closed
+    under multiplication by p or not, and generic functions (#L > p^N).
+    """
+    rng = np.random.default_rng(4)
+    phis = []
+    for p, N in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)):
+        for M in range(3):
+            for m in [random_covering_mask(rng, p, N, M) for _ in range(3)]:
+                try:
+                    phis.append(refinable_from_mask(m, M))
+                except SupportViolationError:
+                    pass
+            phis.append(refinable_from_mask(random_unimodular_mask(rng, p, N), M))
+            phis += [_random_support_phi(rng, p, N, M, closed) for closed in (True, False, False)]
+            phis.append(random_function(rng, p, N, M))
+    return phis
+
+
+class TestWindowFitSweep:
+    """check_mra's transform-side window fit against the dense space-domain oracle."""
+
+    def test_verdicts_and_residuals_match_the_oracle(self, window_sweep):
+        kinds = {"non-refinable under the count": 0, "refinable over the count": 0, "solved": 0}
+        for phi in window_sweep:
+            p, (N, M) = phi.prime, phi.frame
+            report = check_mra(phi)
+            taps, res = oracle_window_solve(phi, reframe(phi, N, M + 1).values, p**N)
+            size = int(np.count_nonzero(np.abs(oracle_fourier(phi)) > report.tol))
+            scale = np.max(np.abs(phi.values))
+            assert report.lset.size == size
+            assert report.refinable == (res[0] <= report.tol)
+            assert report.axiom_a_ok == bool(np.all(res <= report.tol))
+            assert report.criterion_ok == (report.refinable and size <= p**N)
+            assert abs(report.refine_residual - res[0]) <= 1e-12 * scale
+            assert abs(report.axiom_a_residual - np.max(res)) <= 1e-12 * scale
+            if report.refinable:
+                assert np.max(np.abs(report.recovered_mask.taps - taps[:, 0])) <= 1e-10
+            if size <= p**N:
+                assert report.set_rule_ok == report.refinable
+                kinds["non-refinable under the count"] += not report.refinable
+            else:
+                kinds["refinable over the count"] += report.refinable
+            kinds["solved"] += report.axiom_a_route == "solved"
+            assert (report.axiom_a_route == "derived") == (report.fit_rank == report.fit_rows)
+        assert all(count >= 5 for count in kinds.values()), kinds
+
+    def test_axiom_a_fails_at_a_larger_roll(self, window_sweep):
+        # over the count a refinable phi can still miss axiom (a): only the
+        # rolls past 0 show it, so those rolls must be solved
+        missed = [
+            r for r in map(check_mra, window_sweep)
+            if r.refinable and not r.axiom_a_ok
+        ]
+        assert missed and all(r.axiom_a_route == "solved" for r in missed)
+
+    def test_a_small_genuine_bin_stays_in_the_fit_on_a_large_grid(self):
+        # p = 2, N = 6, #L = 21: one bin of phi-hat sits at 8.8e-9 of its
+        # peak. Reframing to M = 10 moves neither, so the fit must keep that
+        # bin; a support floor growing with n dropped it there and called
+        # phi non-refinable with residual 1.7e-8
+        rng = np.random.default_rng((52, 0, 318, 3))
+        mask = [random_covering_mask(rng, 2, 6, 1) for _ in range(3)][-1]
+        phi = reframe(refinable_from_mask(mask, 1), 6, 10)
+        hat = np.sort(np.abs(fourier(phi).values))[::-1]
+        assert 8e-9 < hat[20] / hat[0] < 9e-9
+        report = check_mra(phi)
+        taps, res = oracle_window_solve(phi, reframe(phi, 6, 11).values, 1)
+        assert report.lset.size == report.fit_rows == report.fit_rank == 21
+        assert report.refinable and res[0] <= report.tol
+        assert abs(report.refine_residual - res[0]) <= 1e-12 * np.max(np.abs(phi.values))
+
+    def test_check_mra_memory_at_p2_n9(self):
+        # #L = p^N = 512: the fit holds one 512 x 512 block; the dense
+        # window with its rolled targets peaked at 56 MB
+        phi = refinable_from_mask(random_unimodular_mask(np.random.default_rng(1), 2, 9), 1)
+        tracemalloc.start()
+        try:
+            report = check_mra(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.criterion_ok and report.lset.size == 2**9
+        assert peak < 28 * 2**20

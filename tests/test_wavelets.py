@@ -54,7 +54,7 @@ from padic_mra.errors import (
     VerificationError,
 )
 from padic_mra.generators import random_covering_mask, random_function
-from padic_mra import mra, test_functions, wavelets
+from padic_mra import _translates, mra, test_functions, wavelets
 from padic_mra._translates import _support_bins
 from padic_mra.wavelets import (
     CoefficientTree,
@@ -183,6 +183,19 @@ class TestWaveletFunctions:
             assert verify_wavelet_set(ws).ok, (p, N)
             assert frame_bounds(ws).ok, (p, N)
 
+    def test_many_roots_keep_their_zeros(self):
+        # p = 2, N = 6, #L = 40: B expanded root by root missed its zeros on
+        # phi's bins by up to 3.9e-7, and construction refused the set
+        rng = np.random.default_rng((33, 0, 23, 3))
+        mask = [random_covering_mask(rng, 2, 6, 1) for _ in range(2)][-1]
+        phi = refinable_from_mask(mask, 1)
+        ws = build_wavelet_set(phi, mask)
+        assert l_set(phi).size == 40
+        rep = frame_bounds(ws)
+        assert rep.ok and rep.v0_residual <= 1e-12
+        want = oracle_tap_sum(phi, ws.masks[0]).values
+        assert np.max(np.abs(ws.wavelets[0].values - want)) <= 1e-12 * np.max(np.abs(want))
+
     @pytest.mark.parametrize(
         "case",
         ["quartic-1", "quartic-3", "haar-2", "haar-3", "haar-5",
@@ -310,7 +323,9 @@ class TestSharedSpectra:
 
         assert transforms(lambda: wavelet_functions(phi, masks)) <= 1 + 2 * r
         assert transforms(lambda: build_wavelet_set(phi, m0)) <= 1 + 2 * r
-        assert transforms(lambda: frame_bounds(ws)) <= (r + 2) + r + p ** (N + 1)
+        # the inclusion test transforms its d misfit directions, none for a valid set
+        assert frame_bounds(ws).inclusion_count.deficiency == 0
+        assert transforms(lambda: frame_bounds(ws)) <= (r + 2) + r
         assert transforms(lambda: check_mra(phi)) <= 3
 
 
@@ -452,6 +467,46 @@ class TestSupportRows:
                     assert got == (want <= DEFAULT_TOL), (p, N, want)
         assert True in sides and False in sides
 
+    def test_inclusion_sweep_matches_oracle_and_count(self):
+        # every set with its last wavelets dropped, down to none
+        sides = {True: 0, False: 0}
+        for p, N in [(2, 3), (2, 4), (3, 2), (3, 3), (5, 1), (5, 2)]:
+            for ws in _covering_sets(p, N, seed=11 * p + N, draws=4):
+                size = l_set(ws.phi).size
+                for keep in range(ws.r + 1):
+                    dropped = WaveletSet(
+                        ws.phi, ws.scaling_mask, ws.wavelets[:keep], ws.masks[:keep], ws.tol
+                    )
+                    rep = verify_wavelet_set(dropped)
+                    count = rep.inclusion_count
+                    assert count.support_bins == count.target_bins == p * size
+                    assert count.wavelet_translates == keep * p**N
+                    assert count.rank + count.deficiency == count.support_bins
+                    # d = 0 is the count: rank p #L, and nothing to misfit
+                    assert (count.deficiency == 0) == (keep * p**N >= (p - 1) * size)
+                    assert (rep.inclusion_residual == 0.0) == (count.deficiency == 0)
+                    ok = rep.inclusion_residual <= DEFAULT_TOL
+                    assert ok == (count.deficiency == 0)
+                    want = oracle_inclusion_residual(dropped)
+                    if not DEFAULT_TOL / 100 < want < 100 * DEFAULT_TOL:
+                        assert ok == (want <= DEFAULT_TOL), (p, N, keep, want)
+                    sides[ok] += 1
+        assert sides[True] >= 10 and sides[False] >= 10, sides
+
+    def test_rounding_rows_stay_out_of_the_support(self):
+        # a p = 5, N = 2 set with #L = 8 whose wavelet spectra carry 13
+        # rounding bins at 1.4-2.3e-13 of their peaks; kept, they made the
+        # inclusion lstsq raise LinAlgError (SVD did not converge)
+        rng = np.random.default_rng((21, 0, 124, 7))
+        mask = [random_covering_mask(rng, 5, 2, 1) for _ in range(3)][-1]
+        phi = refinable_from_mask(mask, 1)
+        rep = frame_bounds(build_wavelet_set(phi, mask))
+        assert l_set(phi).size == 8
+        assert rep.ok
+        count = rep.inclusion_count
+        assert count.support_bins == count.target_bins == 5 * 8
+        assert count.deficiency == 0
+
     def test_component_off_the_support_is_rejected(self, quartic_ws):
         ws = quartic_ws
         psi = ws.wavelets[0]
@@ -483,6 +538,8 @@ class TestSupportRows:
             assert verify_wavelet_set(_scaled(ws, c)).ok == ok
 
     def test_lstsq_sees_only_support_rows(self, quartic_ws, haar3, monkeypatch):
+        # frame_bounds solves nothing by lstsq: inclusion and the Gram take
+        # SVDs, and every one sees only the support rows
         sets = [
             quartic_ws,
             haar3,
@@ -491,20 +548,22 @@ class TestSupportRows:
             *_covering_sets(5, 2, seed=2, draws=3),
         ]
         seen = []
-        real = np.linalg.lstsq
+        real = np.linalg.svd
 
-        def spy(a, b, rcond=None):
-            seen.append((a.shape[0], rcond))
-            return real(a, b, rcond=rcond)
+        def spy(a, *args, **kwargs):
+            seen.append(a.shape[0])
+            return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(wavelets.np.linalg, "lstsq", spy)
+        def refuse(*args, **kwargs):
+            raise AssertionError("frame_bounds called lstsq")
+
+        monkeypatch.setattr(wavelets.np.linalg, "svd", spy)
+        monkeypatch.setattr(wavelets.np.linalg, "lstsq", refuse)
         for ws in sets:
             seen.clear()
-            frame_bounds(ws)
-            assert seen and max(r for r, _ in seen) <= ws.prime ** (ws.support_exp + 1)
-            # the rank cut is no lower than the one lstsq takes on all n grid rows
-            n = ws.prime ** (ws.support_exp + ws.period_exp + 1)
-            assert all(c is not None and c >= np.finfo(float).eps * n for _, c in seen)
+            rep = frame_bounds(ws)
+            assert seen and max(seen) <= ws.prime ** (ws.support_exp + 1)
+            assert seen[0] == rep.inclusion_count.support_bins
 
     def test_every_grid_builder_applies_the_cap(
         self, quartic_phi, quartic_mask, quartic_ws, monkeypatch, rng
@@ -597,6 +656,7 @@ class TestLeastSquares:
         refined = p ** (N + M + 1)
         entry_points = [
             (lambda: check_mra(quartic_phi), refined),
+            (lambda: check_mra(random_function(rng, 2, N, M)), refined),
             (lambda: recover_mask(quartic_phi), refined),
             (lambda: shift_mask(quartic_phi, b, same_scale=False), refined),
             (lambda: shift_mask(quartic_phi, b), p ** (N + M)),
@@ -604,19 +664,48 @@ class TestLeastSquares:
             (lambda: frame_bounds(quartic_ws), refined),
             (lambda: analyze(f, quartic_ws, j0=0, j1=2), f.n),
         ]
-        seen = []
-        real = np.linalg.lstsq
+        # every lstsq and the inclusion SVD take their cut from _rcond
+        cuts, solves = [], []
+        real_rcond, real_lstsq = _translates._rcond, np.linalg.lstsq
 
-        def spy(a, b, rcond=None):
-            seen.append(rcond)
-            return real(a, b, rcond=rcond)
+        def rcond_spy(n, columns):
+            cuts.append(real_rcond(n, columns))
+            return cuts[-1]
 
-        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        def lstsq_spy(a, b, rcond=None):
+            solves.append(rcond)
+            return real_lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(_translates, "_rcond", rcond_spy)
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq_spy)
         for call, n in entry_points:
-            seen.clear()
+            cuts.clear()
+            solves.clear()
             call()
-            assert seen
-            assert all(c is not None and c >= np.finfo(float).eps * n for c in seen), (n, seen)
+            assert cuts
+            assert all(c >= np.finfo(float).eps * n for c in cuts), (n, cuts)
+            assert all(c in cuts for c in solves), (n, solves, cuts)
+
+    def test_range_and_complement_split_the_lstsq_fit(self, rng):
+        # a tall rank-deficient block: 6 rows, 4 columns of rank 3, n = 64
+        a = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        a = np.column_stack([a, a[:, 0] + 1e-17 * a[:, 1]])
+        y = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+        x, rank = _translates._solve(a, y, 64)
+        q = _translates._complement(a, 64)
+        assert rank == 3 and q.shape == (6, 3)
+        assert np.allclose(q.conj().T @ q, np.eye(3), atol=1e-12)
+        assert np.max(np.abs((a @ x - y) + q @ (q.conj().T @ y))) <= 1e-12
+        # _range is the other side: the fit itself is the projection on it
+        u = _translates._range(a, 64)
+        assert u.shape == (6, 3)
+        assert np.max(np.abs(a @ x - u @ (u.conj().T @ y))) <= 1e-12
+        # wide: 3 independent rows, then a fourth that the cut folds into the first
+        assert _translates._complement(a[:, :3].T, 64).shape == (3, 0)
+        q = _translates._complement(a.T, 64)
+        x, rank = _translates._solve(a.T, y[:4], 64)
+        assert rank == 3 and q.shape == (4, 1)
+        assert np.max(np.abs((a.T @ x - y[:4]) + q @ (q.conj().T @ y[:4]))) <= 1e-12
 
 
 class TestKozyrev:
