@@ -66,7 +66,7 @@ def main() -> None:
     print(f"set rule p L in L: {report.set_rule_ok}")
     print(f"axiom (a): every translate b = k/p^N in the refined window, worst "
           f"residual {report.axiom_a_residual:.2e} ({report.axiom_a_route}: "
-          f"rank {report.fit_rank} on {report.fit_rows} bins)")
+          f"{report.fit_rows} bins against p^N = {ls.bound})")
     for b in enumerate_Ip_ball(p, 2):
         sol = shift_mask(phi, b, same_scale=False)
         print(f"  b = {str(b):>4}: residual {sol.pointwise_residual:.2e}")

@@ -6,7 +6,7 @@ instances land within the #L <= p^N bound and whether every translate
 admits a verified shift mask. The two columns must agree row by row; a
 disagreement would be a counterexample to the duality criterion. A last
 column counts the draws where the set rule p L in L, read off the L set,
-agrees with the refinability the mask fit decided.
+agrees with the refinability the refinement residual decided.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ def survey_cell(
             continue
         done += 1
         # axiom_a_ok covers every refined-window shift expansion, b = k/p^N:
-        # derived from the mask fit when its bins have full rank, else
-        # solved for every roll on the same block.
+        # under the count phi-hat's bins decide it with no solve, else every
+        # roll is projected on one SVD of the window block.
         report = check_mra(phi)
         ls = report.lset
         dual = report.axiom_a_ok

@@ -69,20 +69,14 @@ def _load_json(path: str) -> dict:
         raise PreconditionError(f"{path} is not valid JSON: {exc}")
 
 
-def _write_json(path: str | None, payload: dict) -> None:
-    if path is None:
-        return
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize.dumps_canonical(payload))
-        fh.write("\n")
-
-
 def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
-    if getattr(args, "json", False):
-        print(serialize.dumps_canonical(payload))
-    else:
-        print(human)
+    """Write the payload to --out when given, and print it (--json) or the human text."""
+    text = serialize.dumps_canonical(payload) if args.json or args.out else ""
+    if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    print(text if args.json else human)
 
 
 # --------------------------------------------------------------------------
@@ -102,7 +96,6 @@ def _cmd_haar(args: argparse.Namespace) -> int:
         "wavelet_set": serialize.wavelet_set_to_json(ws),
         "frame": serialize.frame_report_to_json(frame),
     }
-    _write_json(args.out, payload)
     ok = report.criterion_ok and report.orthonormality.verdict and frame.ok
     human = "\n".join(
         [
@@ -124,7 +117,6 @@ def _cmd_mask_new(args: argparse.Namespace) -> int:
     zeros = [parse_rational(args.p, tok) for tok in args.roots.split(",") if tok.strip()]
     mask = mask_from_roots(args.p, args.N, zeros)
     payload = serialize.mask_to_json(mask)
-    _write_json(args.out, payload)
     taps = ", ".join(f"{t:.6g}" for t in mask.taps)
     _emit(args, payload, f"mask of degree {mask.degree} at scale {args.N}\n  taps: [{taps}]")
     return EXIT_PASS
@@ -166,7 +158,6 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     mask = serialize.mask_from_json(_load_json(args.mask))
     phi = refinable_from_mask(mask, args.M, tol=args.tol)
     payload = serialize.function_to_json(phi)
-    _write_json(args.out, payload)
     if args.csv:
         hat = fourier(phi)
         Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
@@ -187,7 +178,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     phi = serialize.function_from_json(_load_json(args.phi))
     report = check_mra(phi, tol=args.tol)
     payload = serialize.mra_report_to_json(report)
-    _write_json(args.out, payload)
     human = "\n".join(
         [
             f"phi in D_{report.support_exp}^{report.period_exp}, p = {report.prime}",
@@ -197,7 +187,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             f"  criterion            {report.criterion_ok}",
             f"  set rule p L in L    {report.set_rule_ok}",
             f"  shift expansions     worst residual {report.axiom_a_residual:.2e} "
-            f"({report.axiom_a_route}; rank {report.fit_rank} on {report.fit_rows} bins), "
+            f"({report.axiom_a_route}; {report.fit_rows} bins, count {report.lset.bound}), "
             f"ok = {report.axiom_a_ok}",
             f"  orthonormal shifts   {report.orthonormality.verdict}",
             f"  haar equivalent      {report.haar_equivalent}",
@@ -211,7 +201,6 @@ def _cmd_ortho(args: argparse.Namespace) -> int:
     phi = serialize.function_from_json(_load_json(args.phi))
     report = check_orthonormal_shifts(reframe(phi, max(phi.support_exp, 0), max(phi.period_exp, 0)), tol=args.tol)
     payload = serialize.orthonormality_to_json(report)
-    _write_json(args.out, payload)
     human = "\n".join(
         [
             f"char-sum residual max {np.max(report.char_sum_residuals, initial=0.0):.2e} "
@@ -237,7 +226,6 @@ def _cmd_wavelets(args: argparse.Namespace) -> int:
     if args.normalize:
         ws = ws.normalize()
     payload = serialize.wavelet_set_to_json(ws)
-    _write_json(args.out, payload)
     norms = ", ".join(f"{norm_l2(psi):.6g}" for psi in ws.wavelets)
     _emit(
         args,
@@ -252,7 +240,6 @@ def _cmd_frame(args: argparse.Namespace) -> int:
     report = frame_bounds(ws, tol=args.tol)
     count = report.inclusion_count
     payload = serialize.frame_report_to_json(report)
-    _write_json(args.out, payload)
     human = "\n".join(
         [
             f"generators            {report.generator_count}",
@@ -282,7 +269,6 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         "input_residual": tree.input_residual,
         "ok": ok,
     }
-    _write_json(args.out, payload)
     human = "\n".join(
         [
             f"levels {args.j0}..{args.j1}, frame D_{tree.frame[0]}^{tree.frame[1]}",
@@ -300,7 +286,6 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 def _cmd_kozyrev(args: argparse.Namespace) -> int:
     ws = kozyrev_set(args.p, tol=args.tol)
     payload = {"ok": True, "wavelet_set": serialize.wavelet_set_to_json(ws)}
-    _write_json(args.out, payload)
     _emit(
         args,
         payload,

@@ -7,9 +7,9 @@ verdicts backed by residuals:
     cardinality bound #L <= p^N against p^N is the whole MRA criterion for
     refinable phi, so the set and its margins are first-class data.
   * recover_mask: fit the refinement equation phi(x) = sum_k h_k
-    phi(x/p - k/p^(N+1)) by least squares on the transform side. The
-    sup-norm residual of that identity on the full refined grid is the
-    refinability authority.
+    phi(x/p - k/p^(N+1)) by least squares on the transform side, and
+    return the taps when the sup-norm residual of that identity on the full
+    refined grid is within tolerance. It is the one source of taps.
   * shift_mask: express a translate phi(. - b) through phi, either at the
     same scale (coefficients on the translates phi(. - k/p^N), fitted on
     the bins where phi-hat lives and then verified pointwise) or through the
@@ -27,16 +27,20 @@ verdicts backed by residuals:
     indicator's L is the unit-ball residues p^M Z/p^(N+M), so span equality
     with its translates is the set equality of the two L sets.
 
-The mask fit and every refined-window expansion are fits on the
-transform side (_Window), p residue classes sharing one #L x p^N block;
-when it has full row rank at the cut, the misfit of the translate by k/p^N
-is the roll by k of the fit's, so check_mra derives axiom (a) from the
-mask fit, and otherwise fits every translate on one SVD of the block. By Plancherel
-the Gram row <phi, phi(. - d/p^N)> over every d is one inverse transform
-of |phi-hat|^2, and stage 1's character sums are entries of the same row.
-check_mra transforms phi once for the mean, the L set, the mask fit and
-the orthonormality stages. The translate kernels and the one
-least-squares solve, with its rank cut, are in _translates.
+check_mra compares S0, the bins where phi-hat lives, with the count
+p^N. Under it the refinement window's rolls span every vector on the bins
+S = S0 + p^(N+M) {0..p-1} where phi(x/p) lives (a Vandermonde system with
+distinct nodes), so the refinement misfit is phi's transform off S, one
+inverse transform on phi's own grid, and a translate by k/p^N, a phase on
+the same bins, has the same misfit: axiom (a) is that residual. Over the
+count one SVD of the window block (_Window) projects phi and each of its
+translates. No solve in check_mra produces taps; recover_mask and refined
+shift_mask fit them on the window, p residue classes sharing one #L x p^N
+block, with the one least-squares solve and its rank cut in _translates.
+By Plancherel the Gram row <phi, phi(. - d/p^N)> over every d is one
+inverse transform of |phi-hat|^2, and stage 1's character sums are
+entries of the same row. check_mra transforms phi once for the mean, the
+L set, the refinement residual and the orthonormality stages.
 """
 
 from __future__ import annotations
@@ -179,12 +183,12 @@ class _Window:
         space = _inv_fourier_values(misfit.reshape(self.n, width), p, self.N)
         return np.max(np.abs(space), axis=0, initial=0.0)
 
-    def fit(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        """Taps (p^(N+1) x targets), sup residuals, and the block's rank at the cut."""
+    def fit(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Taps (p^(N+1) x targets) and sup residuals."""
         refined, rhs = self.split(targets)
-        x, rank = _solve(self.block, rhs, self.n)
+        x = _solve(self.block, rhs, self.n)[0]
         taps = x.reshape(self.p ** (self.N + 1), targets.shape[1])
-        return taps, self.residuals(refined, self.block @ x), rank
+        return taps, self.residuals(refined, self.block @ x)
 
 
 @dataclass
@@ -216,7 +220,7 @@ def recover_mask(phi: TestFunction, tol: float = DEFAULT_TOL) -> MaskRecovery:
             f"phi integrates to {hat[0]:.3e}; a scaling candidate needs "
             "a nonzero mean"
         )
-    taps, residuals, _ = _Window(hat, phi.prime, N, M).fit(hat[:, None])
+    taps, residuals = _Window(hat, phi.prime, N, M).fit(hat[:, None])
     mask = TrigPolynomial.from_taps(phi.prime, taps[:, 0], scale=N)
     fit = MaskRecovery(mask, float(residuals[0]), tol)
     if not fit.ok:
@@ -272,7 +276,7 @@ def shift_mask(
         (alpha,), fit = _fit(fourier(phi).values[:, None], target, p**N)
         residual = _sup(_inv_fourier_values(fit - target, p, N))
         return ShiftMaskSolution(b, "same_scale", alpha, residual, tol)
-    taps, residuals, _ = _Window(fourier(phi).values, p, N, M).fit(target[:, None])
+    taps, residuals = _Window(fourier(phi).values, p, N, M).fit(target[:, None])
     return ShiftMaskSolution(b, "refined", taps[:, 0], float(residuals[0]), tol)
 
 
@@ -394,13 +398,14 @@ def check_haar_equivalence(phi: TestFunction, tol: float = DEFAULT_TOL) -> bool:
 class MraReport:
     """Everything check_mra measured, with the criterion verdict.
 
-    criterion_ok is exactly: refinable, and #L <= p^N. The mask fit's block
-    has rank fit_rank on fit_rows bins. axiom_a_residual is the largest
-    residual of the window expansions of phi(. - k/p^N), k < p^N: with
-    axiom_a_route "derived" the rank is full (#L <= p^N gives this), so
-    the misfit of roll k is the roll of the fit's and the residual is
-    refine_residual; with "solved" every roll was fitted on one SVD of
-    the same block.
+    criterion_ok is exactly: refinable, and #L <= p^N. fit_rows is |S0|,
+    the number of bins where phi-hat lives, and axiom_a_route says how it
+    compares with p^N. "derived": under the count the refinement residual
+    is phi's transform off the bins where phi(x/p) lives, and every
+    translate phi(. - k/p^N), k < p^N, has that same residual, so
+    axiom_a_residual is refine_residual. "solved": over the count phi and
+    every translate were projected on one SVD of the window block, and
+    axiom_a_residual is the largest of their residuals.
     set_rule_ok, p L within L mod p^(N+M), is forced by refinability and
     under the count implies it: a cross-check read off the L set.
     haar_equivalent is None unless the translates are orthonormal and the
@@ -414,11 +419,9 @@ class MraReport:
     mean_value: complex
     refinable: bool
     refine_residual: float
-    recovered_mask: TrigPolynomial | None
     lset: LSet
     criterion_ok: bool
     fit_rows: int
-    fit_rank: int
     axiom_a_residual: float
     axiom_a_route: str
     axiom_a_ok: bool
@@ -428,7 +431,7 @@ class MraReport:
 
 
 def _translate_residuals(window: _Window, hat: np.ndarray) -> np.ndarray:
-    """Window residuals of phi(. - k/p^N) for 0 < k < p^N, on one factorization.
+    """Window residuals of phi(. - k/p^N) for k < p^N, on one factorization.
 
     The fit of a target on the kept bins is its projection on the block's
     range at the cut (_range), so every chunk of translates, about 2^20
@@ -436,7 +439,7 @@ def _translate_residuals(window: _Window, hat: np.ndarray) -> np.ndarray:
     """
     q, rolls = window.q, window.p**window.N
     u = _range(window.block, window.n)
-    chunks = np.array_split(np.arange(1, rolls), max(1, -(-rolls * window.n // 2**20)))
+    chunks = np.array_split(np.arange(rolls), max(1, -(-rolls * window.n // 2**20)))
     out = []
     for ks in chunks:
         rolled = hat[:, None] * np.exp(2j * np.pi * ((np.arange(q)[:, None] * ks) % q) / q)
@@ -466,7 +469,7 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
     check_limits(p, N + M + 1, tol)
 
     # One transform serves the mean phi-hat(0) = p^-M sum phi, the L set,
-    # the mask fit and the orthonormality stages.
+    # the refinement residual and the orthonormality stages.
     hat = fourier(phi).values
     hat0 = hat[0]
     if abs(hat0) <= tol:
@@ -475,18 +478,20 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
             "nonzero mean"
         )
 
-    # The mask fit is the fit of phi itself, and its solve gives the block's
-    # rank. At full row rank every target is met on the kept bins and the
-    # misfit of the translate by k/p^N is the roll by k of the fit's, so
-    # the fit decides axiom (a); otherwise every translate is fitted.
-    window = _Window(hat, p, N, M)
-    taps, residuals, rank = window.fit(hat[:, None])
-    route = "derived" if rank == window.rows else "solved"
-    refine_residual = float(residuals[0])
+    # The route is the integer count, not a solve's rank. Under it the
+    # window's rolls span every vector on the bins s with s mod p^(N+M) in
+    # S0, and phi's transform on the refined frame is hat(l) at bin p l, so
+    # the misfit is hat at the l whose p l falls outside, on phi's own grid.
+    s0 = _support_bins(hat[:, None])
+    if s0.size <= p**N:
+        route = "derived"
+        off = np.where(np.isin(p * np.arange(hat.size) % hat.size, s0), 0, hat)
+        refine_residual = axiom_a_residual = _sup(_inv_fourier_values(off, p, N))
+    else:
+        route = "solved"
+        residuals = _translate_residuals(_Window(hat, p, N, M), hat)
+        refine_residual, axiom_a_residual = float(residuals[0]), float(np.max(residuals))
     refinable = refine_residual <= tol
-    axiom_a_residual = refine_residual
-    if route == "solved":
-        axiom_a_residual = float(np.max(_translate_residuals(window, hat), initial=refine_residual))
     ls = _l_set(phi, hat, tol)
     criterion_ok = bool(refinable and ls.within_bound)
     members = np.array(ls.members, dtype=np.int64)
@@ -504,11 +509,9 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
         mean_value=complex(hat0),
         refinable=refinable,
         refine_residual=refine_residual,
-        recovered_mask=TrigPolynomial.from_taps(p, taps[:, 0], scale=N) if refinable else None,
         lset=ls,
         criterion_ok=criterion_ok,
-        fit_rows=window.rows,
-        fit_rank=rank,
+        fit_rows=int(s0.size),
         axiom_a_residual=axiom_a_residual,
         axiom_a_route=route,
         axiom_a_ok=axiom_a_residual <= tol,

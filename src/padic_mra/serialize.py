@@ -167,11 +167,9 @@ def mra_report_to_json(r: MraReport) -> dict:
         "mean_value": _pair(r.mean_value),
         "refinable": r.refinable,
         "refine_residual": r.refine_residual,
-        "recovered_mask": mask_to_json(r.recovered_mask) if r.recovered_mask else None,
         "lset": lset_to_json(r.lset),
         "criterion_ok": r.criterion_ok,
         "fit_rows": r.fit_rows,
-        "fit_rank": r.fit_rank,
         "axiom_a_residual": r.axiom_a_residual,
         "axiom_a_route": r.axiom_a_route,
         "axiom_a_ok": r.axiom_a_ok,

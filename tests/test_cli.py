@@ -190,8 +190,8 @@ class TestMaskPipeline:
         doc = json.loads(out)
         assert doc["criterion_ok"] is True
         assert doc["lset"]["members"] == [0, 4, 6, 7]
-        # #L = p^N: the window block has full row rank on the 4 bins of L
-        assert (doc["fit_rows"], doc["fit_rank"], doc["axiom_a_route"]) == (4, 4, "derived")
+        # phi-hat lives on the 4 bins of L, within the count p^N = 4
+        assert (doc["fit_rows"], doc["axiom_a_route"]) == (4, "derived")
         assert doc["set_rule_ok"] is True and doc["axiom_a_ok"] is True
 
         code, out = run(capsys, "ortho", "--phi", str(phi_file), "--json")
@@ -234,12 +234,18 @@ class TestMaskPipeline:
             "--out",
             str(mask_file),
         )
+        eval_file, info_file = tmp_path / "eval.json", tmp_path / "info.json"
         code, out = run(
-            capsys, "mask", "eval", "--mask", str(mask_file), "--xi", "1/2", "--json"
+            capsys, "mask", "eval", "--mask", str(mask_file), "--xi", "1/2", "--json",
+            "--out", str(eval_file),
         )
         assert code == 0
         value = json.loads(out)["value"]
         assert abs(complex(value[0], value[1])) < 1e-12
+        assert json.loads(eval_file.read_text()) == json.loads(out)
+        code, out = run(capsys, "mask", "info", "--mask", str(mask_file), "--out", str(info_file))
+        assert code == 0
+        assert json.loads(info_file.read_text())["degree"] == 1
 
     def test_refine_rejects_unsupported_period(self, tmp_path, capsys):
         mask_file = tmp_path / "mask.json"

@@ -196,32 +196,64 @@ class TestCheckMra:
             assert np.max(np.abs(single.coefficients - taps[:, k])) <= 1e-10
         fit = recover_mask(phi)
         assert np.max(np.abs(fit.mask.taps - taps[:, 0])) <= 1e-10
-        if report.refinable:
-            assert np.max(np.abs(report.recovered_mask.taps - taps[:, 0])) <= 1e-10
 
-    def test_one_lstsq_for_fit_and_axiom_a(self, quartic_phi, monkeypatch):
+    def test_no_lstsq_and_an_svd_only_over_the_count(self, quartic_phi, monkeypatch):
         unimodular = refinable_from_mask(random_unimodular_mask(np.random.default_rng(4), 2, 2), 1)
-        calls = []
-        real = np.linalg.lstsq
+        calls = {"lstsq": 0, "svd": 0}
+        real = {name: getattr(np.linalg, name) for name in calls}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(name):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real[name](*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "lstsq", counting)
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
         # Haar equivalence is read off the L set, whether it is decided
-        # (orthonormal translates) or not (the quartic): the only solve is
-        # the window block's, also when every translate is fitted (#L > p^N)
-        for phi, haar in (
-            (quartic_phi, None),
-            (omega(2, 1, 1), True),
-            (omega(3, 1, 1), True),
-            (unimodular, True),
-            (_oversized_phi(), None),
+        # (orthonormal translates) or not (the quartic); the taps are
+        # recover_mask's, so nothing is solved, and only #L > p^N projects
+        # the translates on one SVD of the window block
+        for phi, haar, svds in (
+            (quartic_phi, None, 0),
+            (omega(2, 1, 1), True, 0),
+            (omega(3, 1, 1), True, 0),
+            (unimodular, True, 0),
+            (_oversized_phi(), None, 1),
         ):
-            calls.clear()
+            calls.update(lstsq=0, svd=0)
             assert check_mra(phi).haar_equivalent is haar
-            assert len(calls) == 1
+            assert calls == {"lstsq": 0, "svd": svds}
+
+    def test_under_the_count_nothing_is_solved_and_every_transform_is_on_phis_grid(
+        self, quartic_phi, monkeypatch
+    ):
+        # p = 2, N = 11, M = 1 with #L = p^N, where the taps solve took 7.0 s
+        big = refinable_from_mask(random_unimodular_mask(np.random.default_rng(1), 2, 11), 1)
+        solves, lengths = [], []
+
+        def spy(module, name, record):
+            real = getattr(module, name)
+
+            def wrapped(a, *args, **kwargs):
+                record.append(a.shape[0])
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        for name in ("lstsq", "svd"):
+            spy(np.linalg, name, solves)
+        for name in ("fft", "ifft"):
+            spy(np.fft, name, lengths)
+        for phi in (big, quartic_phi, omega(3, 1, 1), _covering_phi_p2_n4()):
+            lengths.clear()
+            report = check_mra(phi)
+            assert report.criterion_ok and report.axiom_a_route == "derived"
+            assert lengths and set(lengths) == {phi.n}
+            if phi is big:
+                assert report.lset.size == report.fit_rows == 2**11
+        assert not solves
 
 
 class TestOrthonormality:
@@ -394,14 +426,17 @@ class TestWindowFitSweep:
             assert abs(report.refine_residual - res[0]) <= 1e-12 * scale
             assert abs(report.axiom_a_residual - np.max(res)) <= 1e-12 * scale
             if report.refinable:
-                assert np.max(np.abs(report.recovered_mask.taps - taps[:, 0])) <= 1e-10
+                assert np.max(np.abs(recover_mask(phi).mask.taps - taps[:, 0])) <= 1e-10
+            else:
+                with pytest.raises(NotRefinableError):
+                    recover_mask(phi)
             if size <= p**N:
                 assert report.set_rule_ok == report.refinable
                 kinds["non-refinable under the count"] += not report.refinable
             else:
                 kinds["refinable over the count"] += report.refinable
             kinds["solved"] += report.axiom_a_route == "solved"
-            assert (report.axiom_a_route == "derived") == (report.fit_rank == report.fit_rows)
+            assert (report.axiom_a_route == "derived") == (report.fit_rows <= p**N)
         assert all(count >= 5 for count in kinds.values()), kinds
 
     def test_axiom_a_fails_at_a_larger_roll(self, window_sweep):
@@ -425,7 +460,8 @@ class TestWindowFitSweep:
         assert 8e-9 < hat[20] / hat[0] < 9e-9
         report = check_mra(phi)
         taps, res = oracle_window_solve(phi, reframe(phi, 6, 11).values, 1)
-        assert report.lset.size == report.fit_rows == report.fit_rank == 21
+        assert report.lset.size == report.fit_rows == 21
+        assert report.axiom_a_route == "derived"
         assert report.refinable and res[0] <= report.tol
         assert abs(report.refine_residual - res[0]) <= 1e-12 * np.max(np.abs(phi.values))
 

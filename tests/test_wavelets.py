@@ -655,7 +655,7 @@ class TestLeastSquares:
         f = random_function(rng, 2, N, M + 3)
         refined = p ** (N + M + 1)
         entry_points = [
-            (lambda: check_mra(quartic_phi), refined),
+            # #L > p^N: the window's SVD; under the count nothing is solved
             (lambda: check_mra(random_function(rng, 2, N, M)), refined),
             (lambda: recover_mask(quartic_phi), refined),
             (lambda: shift_mask(quartic_phi, b, same_scale=False), refined),
@@ -685,6 +685,9 @@ class TestLeastSquares:
             assert cuts
             assert all(c >= np.finfo(float).eps * n for c in cuts), (n, cuts)
             assert all(c in cuts for c in solves), (n, solves, cuts)
+        cuts.clear()
+        check_mra(quartic_phi)
+        assert not cuts
 
     def test_range_and_complement_split_the_lstsq_fit(self, rng):
         # a tall rank-deficient block: 6 rows, 4 columns of rank 3, n = 64
