@@ -105,10 +105,9 @@ def _rank(s: np.ndarray, n: int, columns: int) -> int:
     return int(np.count_nonzero(s > _rcond(n, columns) * s[0])) if s.size else 0
 
 
-def _solve(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """Minimum-norm lstsq of a x = b, a some rows of an n-row system, and a's rank at the cut."""
-    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=_rcond(n, a.shape[1]))
-    return x, int(rank)
+def _solve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Minimum-norm lstsq of a x = b, a some rows of an n-row system."""
+    return np.linalg.lstsq(a, b, rcond=_rcond(n, a.shape[1]))[0]
 
 
 def _range(a: np.ndarray, n: int) -> np.ndarray:
@@ -141,7 +140,7 @@ def _fit(
     """
     rows = _support_rows(spectra, count, step)
     a = _translates(rows.spectra, rows.phases, count)
-    x = _solve(a, y[rows.bins], rows.n)[0]
+    x = _solve(a, y[rows.bins], rows.n)
     fit = np.zeros_like(y)
     fit[rows.bins] = a @ x
     return x.reshape(spectra.shape[1], -1), fit
@@ -162,6 +161,16 @@ def _project(y: np.ndarray, spectrum: np.ndarray, count: int, step: int) -> np.n
     out = np.zeros_like(y)
     out[bins] = y[bins]
     return out
+
+
+# Values per chunk when many right-hand sides are carried to space at once.
+_CHUNK_VALUES = 2**20
+
+
+def _chunks(count: int, size: int) -> list[slice]:
+    """Runs of range(count) holding about _CHUNK_VALUES values, each item size values."""
+    step = max(1, _CHUNK_VALUES // size)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def _sup(v: np.ndarray) -> float:

@@ -32,11 +32,13 @@ p^N. Under it the refinement window's rolls span every vector on the bins
 S = S0 + p^(N+M) {0..p-1} where phi(x/p) lives (a Vandermonde system with
 distinct nodes), so the refinement misfit is phi's transform off S, one
 inverse transform on phi's own grid, and a translate by k/p^N, a phase on
-the same bins, has the same misfit: axiom (a) is that residual. Over the
-count one SVD of the window block (_Window) projects phi and each of its
-translates. No solve in check_mra produces taps; recover_mask and refined
-shift_mask fit them on the window, p residue classes sharing one #L x p^N
-block, with the one least-squares solve and its rank cut in _translates.
+the same bins, has the same misfit: axiom (a) is that residual. Otherwise
+the window is p copies of phi's own translate system (_window_fit): a
+target splits into p residue classes on phi's frame, each fitted by phi's
+p^N rolls, and the classes partition the refined grid, so the largest
+class sup is the refined sup. recover_mask and refined shift_mask solve
+for taps that way; over the count check_mra projects phi's classes on one
+SVD, class r of the translate by k/p^N being phi's class r - k.
 By Plancherel the Gram row <phi, phi(. - d/p^N)> over every d is one
 inverse transform of |phi-hat|^2, and stage 1's character sums are
 entries of the same row. check_mra transforms phi once for the mean, the
@@ -52,10 +54,20 @@ import numpy as np
 from .config import DEFAULT_TOL, check_limits
 from .errors import NotRefinableError, PreconditionError
 from .masks import TrigPolynomial
-from ._translates import _fit, _range, _solve, _sup, _support_bins
+from ._translates import (
+    _chunks,
+    _fit,
+    _range,
+    _solve,
+    _sup,
+    _support_bins,
+    _support_rows,
+    _translates,
+)
 from .padic_core import PadicRational
 from .test_functions import (
     TestFunction,
+    _fourier_values,
     _inv_fourier_values,
     fourier,
     norm_l2,
@@ -141,54 +153,34 @@ def _l_set(phi: TestFunction, hat: np.ndarray, tol: float) -> LSet:
 # Refinement-equation fitting
 
 
-class _Window:
-    """The refinement window of phi on the transform side, and its fit.
+def _window_fit(
+    hat: np.ndarray, t: np.ndarray, offsets: np.ndarray, p: int, N: int, M: int, taps: bool = True
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Fit residue classes of t, a function on phi's frame, through phi's p^N rolls.
 
-    hat is phi's transform on (N, M), targets are those of functions in
-    D_N^M. The window is the rolls by k < p^(N+1) of g = phi(x/p) on
-    (N, M+1), whose transform G(s) = hat(s mod q)/p has period q = p^(N+M).
-    At bin s0 + j q tap k = r + p m has the phase v^r w^m omega^(j r), with
-    v = e^(2 pi i s0/n), w = e^(2 pi i s0/q), omega = e^(2 pi i/p): a DFT
-    over j splits the fit into p classes r sharing the block G(s0) w^m on
-    the bins s0 < q where G lives. One solve takes every class and target;
-    the residual is the space sup of the misfit on the refined grid.
+    The window generator phi(x/p - k/p^(N+1)), k = r + p m, lives on the
+    refined-grid indices a = r (mod p), where it is phi rolled by m; class o
+    of t is b -> t[(p b + o) mod p^(N+M)]. Each class is fitted on the bins
+    where phi-hat lives with the refined grid's rank cut, by lstsq (taps) or
+    as a projection on one _range of the block, in chunks. Returns the
+    coefficients x[m, j] of class offsets[j] (None unless taps), so the tap
+    h[r + p m] is x[m, r], and each class's sup misfit in space.
     """
-
-    def __init__(self, hat: np.ndarray, p: int, N: int, M: int):
-        self.p, self.N, self.q = p, N, p ** (N + M)
-        self.n = p * self.q
-        self.s0 = _support_bins(hat[:, None])
-        self.rows = self.s0.size
-        w = np.exp(2j * np.pi * np.arange(self.q) / self.q)
-        self.block = w[(self.s0[:, None] * np.arange(p**N)) % self.q] * (hat[self.s0, None] / p)
-        # dft[r, j] = omega^(-j r) / p; v[:, r] = v^r on the kept bins.
-        self.dft = np.exp(-2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p) / p
-        self.v = np.exp(2j * np.pi * ((self.s0[:, None] * np.arange(p)) % self.n) / self.n)
-
-    def split(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The targets on the refined grid, and their class right-hand sides (rows x p targets)."""
-        p, width = self.p, targets.shape[1]
-        refined = np.zeros((self.n, width), dtype=np.complex128)
-        refined[::p] = targets
-        refined = refined.reshape(p, self.q, width)
-        classes = np.einsum("rj,jst->srt", self.dft, refined[:, self.s0])
-        return refined, (classes * self.v.conj()[:, :, None]).reshape(self.rows, -1)
-
-    def residuals(self, refined: np.ndarray, fit: np.ndarray) -> np.ndarray:
-        """Sup residual in space of each target, given the fit of its class right-hand sides."""
-        p, width = self.p, refined.shape[2]
-        fit = fit.reshape(self.rows, p, width) * self.v[:, :, None]
-        misfit = -refined
-        misfit[:, self.s0] += np.einsum("jr,srt->jst", p * self.dft.conj(), fit)
-        space = _inv_fourier_values(misfit.reshape(self.n, width), p, self.N)
-        return np.max(np.abs(space), axis=0, initial=0.0)
-
-    def fit(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Taps (p^(N+1) x targets) and sup residuals."""
-        refined, rhs = self.split(targets)
-        x = _solve(self.block, rhs, self.n)[0]
-        taps = x.reshape(self.p ** (self.N + 1), targets.shape[1])
-        return taps, self.residuals(refined, self.block @ x)
+    q, n = t.shape[0], p ** (N + M + 1)
+    rows = _support_rows(hat[:, None], p**N)
+    a = _translates(rows.spectra, rows.phases, p**N)
+    u = None if taps else _range(a, n)
+    x, sups = [], []
+    for chunk in _chunks(offsets.size, q):
+        y = _fourier_values(t[(p * np.arange(q)[:, None] + offsets[chunk]) % q], p, M)
+        misfit = -y
+        if taps:
+            x.append(_solve(a, y[rows.bins], n))
+            misfit[rows.bins] += a @ x[-1]
+        else:
+            misfit[rows.bins] += u @ (u.conj().T @ y[rows.bins])
+        sups.append(np.max(np.abs(_inv_fourier_values(misfit, p, N)), axis=0, initial=0.0))
+    return (np.hstack(x) if taps else None), np.concatenate(sups)
 
 
 @dataclass
@@ -220,9 +212,9 @@ def recover_mask(phi: TestFunction, tol: float = DEFAULT_TOL) -> MaskRecovery:
             f"phi integrates to {hat[0]:.3e}; a scaling candidate needs "
             "a nonzero mean"
         )
-    taps, residuals = _Window(hat, phi.prime, N, M).fit(hat[:, None])
-    mask = TrigPolynomial.from_taps(phi.prime, taps[:, 0], scale=N)
-    fit = MaskRecovery(mask, float(residuals[0]), tol)
+    x, residuals = _window_fit(hat, phi.values, np.arange(phi.prime), phi.prime, N, M)
+    mask = TrigPolynomial.from_taps(phi.prime, x.reshape(-1), scale=N)
+    fit = MaskRecovery(mask, float(np.max(residuals)), tol)
     if not fit.ok:
         raise NotRefinableError(fit.residual, tol)
     return fit
@@ -271,13 +263,14 @@ def shift_mask(
 
     # |b|_p <= p^N keeps phi(. - b) on phi's frame, where a translate by
     # k/p^N is a roll by k.
-    target = fourier(shift(phi, b)).values
+    hat, target = fourier(phi).values, shift(phi, b)
     if same_scale:
-        (alpha,), fit = _fit(fourier(phi).values[:, None], target, p**N)
-        residual = _sup(_inv_fourier_values(fit - target, p, N))
+        y = fourier(target).values
+        (alpha,), fit = _fit(hat[:, None], y, p**N)
+        residual = _sup(_inv_fourier_values(fit - y, p, N))
         return ShiftMaskSolution(b, "same_scale", alpha, residual, tol)
-    taps, residuals = _Window(fourier(phi).values, p, N, M).fit(target[:, None])
-    return ShiftMaskSolution(b, "refined", taps[:, 0], float(residuals[0]), tol)
+    x, residuals = _window_fit(hat, target.values, np.arange(p), p, N, M)
+    return ShiftMaskSolution(b, "refined", x.reshape(-1), float(np.max(residuals)), tol)
 
 
 # --------------------------------------------------------------------------
@@ -339,14 +332,9 @@ def _orthonormality(phi: TestFunction, hat: np.ndarray, tol: float) -> Orthonorm
     char_ok = bool(np.max(char_res, initial=0.0) <= tol)
 
     # Stage 2: where it applies, unit modulus on the unit ball is equivalent.
-    if M > 0:
-        idx = np.arange(n)
-        outside = idx % p**M != 0
-        in_ball = not np.any(np.abs(hat[outside]) > tol)
-        inside_vals = hat[~outside]
-    else:
-        in_ball = True
-        inside_vals = hat
+    outside = np.arange(n) % p**M != 0
+    in_ball = not np.any(np.abs(hat[outside]) > tol)
+    inside_vals = hat[~outside]
     modulus_ok: bool | None = None
     if in_ball:
         modulus_ok = bool(np.max(np.abs(np.abs(inside_vals) - 1.0), initial=0.0) <= tol)
@@ -403,9 +391,9 @@ class MraReport:
     compares with p^N. "derived": under the count the refinement residual
     is phi's transform off the bins where phi(x/p) lives, and every
     translate phi(. - k/p^N), k < p^N, has that same residual, so
-    axiom_a_residual is refine_residual. "solved": over the count phi and
-    every translate were projected on one SVD of the window block, and
-    axiom_a_residual is the largest of their residuals.
+    axiom_a_residual is refine_residual. "solved": over the count every
+    residue class of phi and its translates was projected on one SVD of
+    phi's translate block, and axiom_a_residual is the largest residual.
     set_rule_ok, p L within L mod p^(N+M), is forced by refinability and
     under the count implies it: a cross-check read off the L set.
     haar_equivalent is None unless the translates are orthonormal and the
@@ -428,24 +416,6 @@ class MraReport:
     set_rule_ok: bool
     orthonormality: OrthonormalityReport
     haar_equivalent: bool | None
-
-
-def _translate_residuals(window: _Window, hat: np.ndarray) -> np.ndarray:
-    """Window residuals of phi(. - k/p^N) for k < p^N, on one factorization.
-
-    The fit of a target on the kept bins is its projection on the block's
-    range at the cut (_range), so every chunk of translates, about 2^20
-    refined grid values, reuses one SVD.
-    """
-    q, rolls = window.q, window.p**window.N
-    u = _range(window.block, window.n)
-    chunks = np.array_split(np.arange(rolls), max(1, -(-rolls * window.n // 2**20)))
-    out = []
-    for ks in chunks:
-        rolled = hat[:, None] * np.exp(2j * np.pi * ((np.arange(q)[:, None] * ks) % q) / q)
-        refined, rhs = window.split(rolled)
-        out.append(window.residuals(refined, u @ (u.conj().T @ rhs)))
-    return np.concatenate(out)
 
 
 def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
@@ -488,9 +458,11 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
         off = np.where(np.isin(p * np.arange(hat.size) % hat.size, s0), 0, hat)
         refine_residual = axiom_a_residual = _sup(_inv_fourier_values(off, p, N))
     else:
+        # Class r of the translate by k/p^N is phi's class r - k, so the
+        # p^N + p - 1 offsets below cover every translate, the last p phi.
         route = "solved"
-        residuals = _translate_residuals(_Window(hat, p, N, M), hat)
-        refine_residual, axiom_a_residual = float(residuals[0]), float(np.max(residuals))
+        res = _window_fit(hat, phi.values, np.arange(1 - p**N, p), p, N, M, taps=False)[1]
+        refine_residual, axiom_a_residual = float(np.max(res[-p:])), float(np.max(res))
     refinable = refine_residual <= tol
     ls = _l_set(phi, hat, tol)
     criterion_ok = bool(refinable and ls.within_bound)

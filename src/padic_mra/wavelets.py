@@ -66,9 +66,11 @@ from .config import DEFAULT_TOL, check_limits
 from .errors import PreconditionError, UnsupportedConfigurationError, VerificationError
 from ._translates import (
     _SupportRows,
+    _chunks,
     _complement,
     _fit,
     _project,
+    _rank,
     _sup,
     _support_bins,
     _support_rows,
@@ -103,11 +105,6 @@ __all__ = [
     "analyze",
     "synthesize",
 ]
-
-# Relative spectral floor: eigenvalues below this times the largest are
-# treated as numerically zero when reading off the lower frame bound.
-_RANK_REL = 1e-9
-
 
 # --------------------------------------------------------------------------
 # Masks
@@ -401,8 +398,7 @@ def _inclusion(ws: WaveletSet, rows: _SupportRows, target_bins: int) -> tuple[fl
     padded = np.zeros((rows.n, d), dtype=np.complex128)
     padded[rows.bins] = q
     basis = _inv_fourier_values(padded, p, N)
-    chunk = max(1, 2**20 // rows.n)
-    worst = max(_sup(basis @ reach[:, i : i + chunk]) for i in range(0, reach.shape[1], chunk))
+    worst = max(_sup(basis @ reach[:, c]) for c in _chunks(reach.shape[1], rows.n))
     return _relative(worst, _sup(ws.phi.values)), count
 
 
@@ -464,10 +460,12 @@ def frame_bounds(ws: WaveletSet, tol: float | None = None) -> FrameReport:
 
     On the span of the system these are exactly the best frame constants:
     with G the Gram matrix and f = sum c_i g_i, sum_i |<f, g_i>|^2 = ||G c||^2
-    falls between A c* G c and B c* G c. Eigenvalues below a relative floor
-    count as zero (redundant systems are frames of their span). By Parseval
-    the Gram is read on the same support bins as the inclusion test of
-    verify_wavelet_set, which are computed once for both.
+    falls between A c* G c and B c* G c. The nonzero eigenvalues are the
+    largest ones, as many as the system's rank at the one rank cut
+    (_translates._rank), and A is the smallest of them; redundant systems
+    are frames of their span. By Parseval the Gram is read on the same
+    support bins as the inclusion test of verify_wavelet_set, which are
+    computed once for both.
     """
     tol = ws.tol if tol is None else tol
     p, N, M = ws.prime, ws.support_exp, ws.period_exp
@@ -482,11 +480,11 @@ def frame_bounds(ws: WaveletSet, tol: float | None = None) -> FrameReport:
     lam_max = float(spectrum[-1]) if spectrum.size else 0.0
     if lam_max <= 0:
         raise PreconditionError("degenerate wavelet set: Gram matrix is zero")
-    # lam_max > 0 clears its own floor, so above is never empty
-    above = spectrum[spectrum > _RANK_REL * lam_max]
+    # sv[0] > 0 clears its own cut, so the rank is at least 1
+    rank = _rank(sv, rows.n, a.shape[1])
     return FrameReport(
         **vars(verification),
-        A=float(above[0]),
+        A=float(spectrum[-rank]),
         B=lam_max,
         spectrum=np.asarray(spectrum),
         generator_count=a.shape[1],

@@ -22,6 +22,7 @@ from padic_mra import (
     recover_mask,
     refinable_from_mask,
     reframe,
+    shift,
     shift_mask,
 )
 from conftest import (
@@ -447,6 +448,24 @@ class TestWindowFitSweep:
             if r.refinable and not r.axiom_a_ok
         ]
         assert missed and all(r.axiom_a_route == "solved" for r in missed)
+
+    def test_refined_shifts_with_an_integer_part_match_the_oracle(self, window_sweep):
+        # b = k/p^N + j, 0 < j < p^M, is a roll by k + j p^N on phi's grid
+        checked = 0
+        for phi in window_sweep:
+            p, (N, M) = phi.prime, phi.frame
+            scale = np.max(np.abs(phi.values))
+            integer_parts = {1, p**M - 1} if M else set()
+            for k in {0, p**N - 1}:
+                for j in integer_parts:
+                    b = PadicRational(p, k + j * p**N, N)
+                    sol = shift_mask(phi, b, same_scale=False)
+                    target = reframe(shift(phi, b), N, M + 1).values
+                    taps, res = oracle_window_solve(phi, target, 1)
+                    assert np.max(np.abs(sol.coefficients - taps[:, 0])) <= 1e-10
+                    assert abs(sol.pointwise_residual - res[0]) <= 1e-12 * scale
+                    checked += 1
+        assert checked >= 100
 
     def test_a_small_genuine_bin_stays_in_the_fit_on_a_large_grid(self):
         # p = 2, N = 6, #L = 21: one bin of phi-hat sits at 8.8e-9 of its
