@@ -3,7 +3,10 @@
 A mask is a trigonometric polynomial m(xi) = sum_k c_k chi_p(k xi) in the
 additive character chi_p. Because chi_p(k xi) = chi_p(xi)^k, the mask is an
 ordinary polynomial P(z) evaluated at z = chi_p(xi), which is what makes
-root placement, normalization and grid evaluation exact.
+root placement and normalization exact. On the depth-t grid j / p^t the
+character only sees k mod p^t, so the mask's values there are one
+transform of its coefficients folded mod p^t, and a shallower grid is a
+stride of a deeper one.
 
 A scaling mask at scale N has fewer than p^(N+1) taps and m(0) = 1. The
 refinable function it determines has transform
@@ -19,9 +22,10 @@ with no index arithmetic, the refinement identity holds on the grid by
 construction, and every support decision reduces to one sphere of unit
 residues. refinable_from_mask builds the product once: its depth M+N is
 phi-hat and one more telescoping step gives the sphere p^(M+1) it
-decides. It applies check_mra's limits (config.check_limits on the
-refined frame (N, M+1)) to its output; hat_from_mask and sphere_values
-apply them to the grid of the depth product they build.
+decides; it evaluates the mask once, at that last depth, and strides the
+rest. It applies check_mra's limits (config.check_limits on the refined
+frame (N, M+1)) to its output; hat_from_mask and sphere_values apply them
+to the grid of the depth product they build.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from .config import DEFAULT_TOL, check_limits, check_tol
 from .errors import PreconditionError, SupportViolationError
 from .padic_core import PadicRational, character
-from .test_functions import TestFunction, inv_fourier
+from .test_functions import TestFunction, _fourier_values, inv_fourier
 
 __all__ = [
     "TrigPolynomial",
@@ -92,13 +96,24 @@ class TrigPolynomial:
         return complex(np.polynomial.polynomial.polyval(z, self.coeffs))
 
     def values_on_depth_grid(self, t: int) -> np.ndarray:
-        """m(j / p^t) for j = 0 .. p^t - 1 (cached per depth)."""
+        """m(j / p^t) for j = 0 .. p^t - 1 (cached per depth).
+
+        chi_p(k j / p^t) only sees k mod p^t, so the grid is the transform
+        of the coefficients folded mod p^t. m(j / p^t) = m(j p / p^(t+1)):
+        a grid cached at a deeper depth is strided instead.
+        """
         if t not in self._grid_cache:
-            n = self.prime**t
-            z = np.exp(2j * np.pi * np.arange(n) / n)
-            vals = np.polynomial.polynomial.polyval(z, self.coeffs)
-            vals = np.asarray(vals, dtype=np.complex128)
-            vals.setflags(write=False)
+            p = self.prime
+            deeper = [d for d in self._grid_cache if d > t]
+            if deeper:
+                d = min(deeper)
+                vals = self._grid_cache[d][:: p ** (d - t)]
+            else:
+                n = p**t
+                folded = np.zeros(-(-self.coeffs.size // n) * n, dtype=np.complex128)
+                folded[: self.coeffs.size] = self.coeffs
+                vals = _fourier_values(folded.reshape(-1, n).sum(axis=0), p, 0)
+                vals.setflags(write=False)
             self._grid_cache[t] = vals
         return self._grid_cache[t]
 
@@ -178,7 +193,11 @@ def _deepen(m: TrigPolynomial, prod: np.ndarray, t: int) -> np.ndarray:
 
 
 def _depth_product(m: TrigPolynomial, depth: int) -> np.ndarray:
-    """prod_{t=1..depth} m(l / p^t) for l = 0 .. p^depth - 1."""
+    """prod_{t=1..depth} m(l / p^t) for l = 0 .. p^depth - 1.
+
+    The deepest grid is evaluated first: the shallower ones are its strides.
+    """
+    m.values_on_depth_grid(depth)
     vals = np.ones(1, dtype=np.complex128)
     for t in range(1, depth + 1):
         vals = _deepen(m, vals, t)
@@ -265,6 +284,8 @@ def refinable_from_mask(
     if M + N < 0:
         raise PreconditionError(f"frame ({N}, {M}) has N + M < 0")
     check_limits(m.prime, N + M + 1, tol)
+    # the sphere's depth first, so that the depth product strides its grid
+    m.values_on_depth_grid(N + M + 1)
     hat = hat_from_mask(m, M, tol)
     sphere = _deepen(m, hat.values, M + N + 1)
     ok, witness, worst = _margin(m, M + 1, *_units(m, sphere), tol)

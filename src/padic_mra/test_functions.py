@@ -211,13 +211,18 @@ def _fourier_values(values: np.ndarray, p: int, M: int) -> np.ndarray:
     """Transform of each column, a function on a frame (N, M).
 
     Row l is p^-M * sum_a values[a] exp(2 pi i l a / n), n the row count.
+    The scale multiplies the FFT's own output in place.
     """
-    return float(p) ** (-M) * values.shape[0] * np.fft.ifft(values, axis=0)
+    out = np.fft.ifft(values, axis=0)
+    out *= float(p) ** (-M) * values.shape[0]
+    return out
 
 
 def _inv_fourier_values(values: np.ndarray, p: int, P: int) -> np.ndarray:
     """Inverse of _fourier_values for each column, a transform on a frame (S, P)."""
-    return float(p) ** (-P) * np.fft.fft(values, axis=0)
+    out = np.fft.fft(values, axis=0)
+    out *= float(p) ** (-P)
+    return out
 
 
 def fourier(f: TestFunction) -> TestFunction:

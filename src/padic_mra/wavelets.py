@@ -17,16 +17,23 @@ other (p-1) #L bins of the support of G, and #L <= p^N gives full row rank
 there: V_1 = V_0 + W_0. A padding factor (z - 1)^(p^N - #L), which would
 raise the degree of B to p^N, is left out: it adds nothing to that count,
 and on the bins nearest z = 1 it is far below rounding, so a set built
-with it can fail its own inclusion test.
+with it can fail its own inclusion test. B's coefficients are one
+inverse transform of its values on the depth-(N+M+1) grid.
 
 Each wavelet, the tap combination psi = sum_k g_k phi(x/p - k/p^(N+1)) in
 D_N^(M+1), is built from its transform Psi on that frame: at k/p^(M+1),
 psi-hat(xi) = n(xi/p^N) phi-hat(p xi) is the mask on the depth-(N+M+1)
-grid times phi-hat(k/p^M), entry p k mod n of Phi0, phi's transform on the
-same frame. psi is one inverse transform of that product. Construction
-checks orthogonality to V_0 before anything is returned; by Plancherel
-the inner products are one inverse transform of Phi0 conj(Psi). So a call
-transforms phi once and makes two inverse transforms per wavelet. Every
+grid times phi-hat(k/p^M), entry k mod p^(N+M) of phi's transform on its
+own grid. psi is one inverse transform of that product. phi is
+transformed once, on its own p^(N+M) points: on the frame (N, M+1) its
+transform Phi0 is those values placed every p bins, phi-hat vanishing off
+B_M, and that of phi(x/p), p^-1 phi-hat(p xi), is them tiled p times over
+p. Construction checks orthogonality to V_0 before anything is returned;
+by Plancherel the inner products are the inverse transform of
+Phi0 conj(Psi), which lives on the bins p l, so they are one inverse
+transform on phi's own grid of its p-strided bins. So a build transforms
+phi once and, per wavelet, evaluates the mask by one transform, makes
+one inverse transform on the refined grid and one on phi's. Every
 wavelet residual is relative to the scale of what it compares: a verdict
 must not change when a wavelet is multiplied by a constant, and the
 expanded taps of a supplied mask can be of any size.
@@ -38,10 +45,12 @@ Gram are computed on the support rows of _translates, the bins where
 phi(x/p), phi or some wavelet lives: p #L of them for a valid set. The
 inclusion test solves for no target: one SVD of the span gives the d
 directions it cannot reach, and the misfit of every target is its
-component along them, zero when d = 0. The one batched transform that
-picks those bins also gives the V_0 residual and the factorization
-residual, which checks each given wavelet against its mask, so
-verify_wavelet_set and frame_bounds transform each generator once.
+component along them, zero when d = 0. The wavelets' one batched
+transform and phi's own give those bins, the V_0 residual and the
+factorization residual, which checks each given wavelet against its
+mask; so verify_wavelet_set and frame_bounds transform each wavelet once
+on the refined grid and phi once on its own, besides the mask grids
+(cached on each mask, so a set that was just built has them).
 
 The multilevel transform runs on support rows too. A translate by
 k/p^(N+j) before the dilation by p^-j is one by k/p^N after it, a roll by
@@ -150,7 +159,7 @@ def _window_masks(phi: TestFunction, m0: TrigPolynomial, ls: LSet) -> list[TrigP
     values = np.ones(n, dtype=np.complex128)
     for l in ls.members:
         values *= z - z[p * l]
-    base = np.array([np.mean(values * z[-k * np.arange(n) % n]) for k in range(ls.size + 1)])
+    base = _inv_fourier_values(values, p, N + M + 1)[: ls.size + 1]
     masks = []
     for nu in range(1, p):
         coeffs = np.concatenate([np.zeros((nu - 1) * p**N, dtype=np.complex128), base])
@@ -158,35 +167,29 @@ def _window_masks(phi: TestFunction, m0: TrigPolynomial, ls: LSet) -> list[TrigP
     return masks
 
 
-def _phi_spectrum(phi: TestFunction) -> np.ndarray:
-    """Phi0, phi's transform on the frame (N, M+1) of its wavelets.
+def _factorized(hat: np.ndarray, mask: TrigPolynomial, p: int, N: int, M: int) -> np.ndarray:
+    """n(xi/p^N) phi-hat(p xi) at xi = k/p^(M+1), from hat = fourier(phi).values.
 
-    Its entry k is phi-hat(k/p^(M+1)), so phi-hat(l/p^M) is entry p l.
+    The mask is read on the depth-(N+M+1) grid, and phi-hat(k/p^M), entry
+    k of hat, repeats with period p^(N+M) in k.
     """
-    N, M = phi.frame
-    return fourier(reframe(phi, N, M + 1)).values
+    return mask.values_on_depth_grid(N + M + 1) * np.tile(hat, p)
 
 
-def _factorized(f0: np.ndarray, mask: TrigPolynomial, p: int, N: int, M: int) -> np.ndarray:
-    """n(xi/p^N) phi-hat(p xi) at xi = k/p^(M+1), from Phi0.
-
-    The mask is read on the depth-(N+M+1) grid, and phi-hat(k/p^M) repeats
-    with period p^(N+M) in k.
-    """
-    return mask.values_on_depth_grid(N + M + 1) * np.tile(f0[::p], p)
-
-
-def _v0_residual(f0: np.ndarray, spec: np.ndarray, p: int, N: int) -> float:
-    """max |<phi(.-a), psi(.-b)>| over a, b in I_p, from Phi0 and Psi.
+def _v0_residual(hat: np.ndarray, spec: np.ndarray, p: int, N: int) -> float:
+    """max |<phi(.-a), psi(.-b)>| over a, b in I_p, from hat = fourier(phi).values and Psi.
 
     Translates more than p^N apart have disjoint supports, so only the
     difference classes d/p^N with |d| < p^N need computing. By Plancherel
     <phi, psi(. - d/p^N)> is entry d of the inverse transform of
-    Phi0 conj(Psi).
+    Phi0 conj(Psi) on the frame (N, M+1). Phi0 is zero off the bins p l,
+    so that transform repeats with period p^(N+M): it is the inverse
+    transform of hat conj(Psi(p l)) on phi's own grid, read at d mod
+    p^(N+M). At M = 0 the classes wrap onto that period.
     """
-    corr = _inv_fourier_values(f0 * np.conj(spec), p, N)
+    corr = _inv_fourier_values(hat * np.conj(spec[::p]), p, N)
     d = np.arange(-(p**N) + 1, p**N)
-    return float(np.max(np.abs(corr[d % spec.shape[0]])))
+    return float(np.max(np.abs(corr[d % hat.shape[0]])))
 
 
 def _relative(residual: float, scale: float) -> float:
@@ -195,14 +198,14 @@ def _relative(residual: float, scale: float) -> float:
 
 def _wavelet_residuals(
     phi: TestFunction,
-    f0: np.ndarray,
+    hat: np.ndarray,
     mask: TrigPolynomial,
     psi: TestFunction,
     spec: np.ndarray,
 ) -> tuple[float, float]:
     """Scale-free (factorization, V_0-orthogonality) residuals of one wavelet.
 
-    f0 and spec are Phi0 and Psi, the transforms of phi and psi on the
+    hat is phi's transform on its own grid and spec Psi, psi's on the
     frame (N, M+1). The factorization residual is relative to
     max |n(xi/p^N) phi-hat(p xi)| and the orthogonality residual to
     ||phi|| ||psi||, the Cauchy-Schwarz bound of every inner product it
@@ -210,9 +213,9 @@ def _wavelet_residuals(
     """
     N, M = phi.frame
     p = phi.prime
-    expected = _factorized(f0, mask, p, N, M)
+    expected = _factorized(hat, mask, p, N, M)
     fact = _relative(_sup(spec - expected), _sup(expected))
-    orth = _relative(_v0_residual(f0, spec, p, N), norm_l2(phi) * norm_l2(psi))
+    orth = _relative(_v0_residual(hat, spec, p, N), norm_l2(phi) * norm_l2(psi))
     return fact, orth
 
 
@@ -230,13 +233,13 @@ def wavelet_functions(
     not orthogonal to V_0.
     """
     check_limits(phi.prime, phi.support_exp + phi.period_exp + 1, tol)
-    return _wavelet_functions(phi, masks, tol, _phi_spectrum(phi))
+    return _wavelet_functions(phi, masks, tol, fourier(phi).values)
 
 
 def _wavelet_functions(
-    phi: TestFunction, masks: list[TrigPolynomial], tol: float, f0: np.ndarray
+    phi: TestFunction, masks: list[TrigPolynomial], tol: float, hat: np.ndarray
 ) -> list[TestFunction]:
-    """wavelet_functions given Phi0 = _phi_spectrum(phi)."""
+    """wavelet_functions given hat = fourier(phi).values."""
     N, M = phi.frame
     p = phi.prime
     out = []
@@ -247,9 +250,9 @@ def _wavelet_functions(
             raise PreconditionError(
                 f"mask {i}: {len(mk.coeffs)} taps exceed the window p^(N+1) = {p ** (N + 1)}"
             )
-        spec = _factorized(f0, mk, p, N, M)
+        spec = _factorized(hat, mk, p, N, M)
         psi = TestFunction(p, N, M + 1, _inv_fourier_values(spec, p, N))
-        orth_res = _relative(_v0_residual(f0, spec, p, N), norm_l2(phi) * norm_l2(psi))
+        orth_res = _relative(_v0_residual(hat, spec, p, N), norm_l2(phi) * norm_l2(psi))
         if orth_res > tol:
             raise VerificationError(
                 f"mask {i}: wavelet is not orthogonal to V_0 "
@@ -323,15 +326,15 @@ def build_wavelet_set(
 ) -> WaveletSet:
     """Wavelet masks and verified wavelets for phi, on the frame (N, M+1)."""
     check_limits(phi.prime, phi.support_exp + phi.period_exp + 1, tol)
-    f0 = _phi_spectrum(phi)
+    hat = fourier(phi).values
     try:
-        masks = _window_masks(phi, m0, _l_set(phi, f0[:: phi.prime], tol))
+        masks = _window_masks(phi, m0, _l_set(phi, hat, tol))
     except UnsupportedConfigurationError:
         # The refusal's traceback keeps this frame alive for as long as the
         # caller keeps the exception; it need not keep the spectrum too.
-        del f0
+        del hat
         raise
-    psis = _wavelet_functions(phi, masks, tol, f0)
+    psis = _wavelet_functions(phi, masks, tol, hat)
     return WaveletSet(phi, m0, psis, masks, tol)
 
 
@@ -369,13 +372,21 @@ class WaveletVerification:
 
 
 def _spectra(ws: WaveletSet) -> np.ndarray:
-    """One batched transform on the frame (N, M+1): phi, each wavelet, phi(x/p).
+    """Transforms on the frame (N, M+1) of phi, each wavelet and phi(x/p), one column each.
 
-    For a valid set their joint support is that of phi(x/p): p #L bins.
+    The wavelets are one batched transform; phi's two columns are Phi0 and
+    p^-1 phi-hat(p xi), from phi's own transform. For a valid set their
+    joint support is that of phi(x/p): p #L bins.
     """
-    N, M = ws.support_exp, ws.period_exp
-    gens = [reframe(ws.phi, N, M + 1), *ws.wavelets, reframe(dilate(ws.phi, -1), N, M + 1)]
-    return _fourier_values(np.column_stack([g.values for g in gens]), ws.prime, M + 1)
+    p = ws.prime
+    hat = fourier(ws.phi).values
+    out = np.zeros((p * hat.shape[0], ws.r + 2), dtype=np.complex128)
+    out[::p, 0] = hat
+    for i, psi in enumerate(ws.wavelets):
+        out[:, 1 + i] = psi.values
+    out[:, 1:-1] = _fourier_values(out[:, 1:-1], p, ws.period_exp + 1)
+    out[:, -1] = np.tile(hat, p) / p
+    return out
 
 
 def _inclusion(ws: WaveletSet, rows: _SupportRows, target_bins: int) -> tuple[float, InclusionCount]:
@@ -411,12 +422,13 @@ def _verify(ws: WaveletSet, tol: float) -> tuple[WaveletVerification, _SupportRo
     spectra = _spectra(ws)
     rows = _support_rows(spectra, ws.prime ** (ws.support_exp + 1))
     target_bins = _support_bins(spectra[:, -1:]).size
+    hat = spectra[:: ws.prime, 0]
     v0 = 0.0
     fact = 0.0
     for i, (mk, psi) in enumerate(zip(ws.masks, ws.wavelets)):
-        f, o = _wavelet_residuals(ws.phi, spectra[:, 0], mk, psi, spectra[:, 1 + i])
+        f, o = _wavelet_residuals(ws.phi, hat, mk, psi, spectra[:, 1 + i])
         fact, v0 = max(fact, f), max(v0, o)
-    del spectra
+    del hat, spectra
     inclusion, count = _inclusion(ws, rows, target_bins)
     return WaveletVerification(tol, v0, fact, inclusion, count), rows
 
@@ -513,7 +525,7 @@ def kozyrev_set(p: int, tol: float = DEFAULT_TOL) -> WaveletSet:
         )
         for nu in range(1, p)
     ]
-    psis = _wavelet_functions(phi, masks, tol, _phi_spectrum(phi))
+    psis = _wavelet_functions(phi, masks, tol, fourier(phi).values)
     ws = WaveletSet(phi, haar_mask(p), psis, masks, tol)
     report = frame_bounds(ws, tol)
     spread = _sup(report.spectrum - 1.0)

@@ -4,8 +4,9 @@ The oracles recompute quantities the library produces, through routes the
 library never takes: Fourier coefficients as dense exact-character sums,
 Gram and V_0 scans as one roll and inner product per offset,
 inner products as measure-weighted sums of point evaluations on a finer
-grid, polynomial products by schoolbook convolution, the depth product
-one point at a time, one refinement step by a tap-weighted sum of rolls
+grid, polynomial products by schoolbook convolution, a mask's grid values
+by polyval at the grid's characters, the depth product one point at a
+time, one refinement step by a tap-weighted sum of rolls
 or on the transform side, the refinement window and its rolled targets as
 one dense space-domain block (oracle_window_solve), each wavelet as the tap-weighted sum of rolls of
 its mask (oracle_tap_sum), the transform's level matrices column by
@@ -17,7 +18,8 @@ each wavelet's factorization and V_0 residuals from its own transforms,
 and span equality of two column systems by two dense least-squares
 solves.
 Frozen expected values in the test modules were produced by these oracles,
-not by the code under test.
+not by the code under test. The transform_lengths fixture records the
+length of every transform numpy.fft makes.
 
 BLAS runs on one thread: with a busy core, spinning OpenBLAS threads make
 the dense oracle solves many times slower. The pin is set before numpy is
@@ -141,6 +143,8 @@ def oracle_wavelet_residuals(
     p, N, M = phi.prime, phi.support_exp, phi.period_exp
     phat = fourier(phi)
     idx = np.arange(psi.n)
+    # the library's mask grid: polyval's rounding (oracle_mask_grid) would
+    # swamp the machine-zero residuals this is compared at
     mask_vals = mask.values_on_depth_grid(M + 1 + N)[idx % p ** (M + 1 + N)]
     expected = mask_vals * phat.values[idx % phat.n]
     fact = float(np.max(np.abs(fourier(psi).values - expected)))
@@ -154,6 +158,13 @@ def oracle_wavelet_residuals(
     orth = float(np.max(np.abs(corr[d % psi.n])))
     bound = norm_l2(phi) * norm_l2(psi)
     return fact, orth / bound if bound > 0 else orth
+
+
+def oracle_mask_grid(m: TrigPolynomial, t: int) -> np.ndarray:
+    """m(j / p^t) for j < p^t, by polyval at the characters exp(2 pi i j / p^t)."""
+    n = m.prime**t
+    z = np.exp(2j * np.pi * np.arange(n) / n)
+    return np.asarray(np.polynomial.polynomial.polyval(z, m.coeffs), dtype=np.complex128)
 
 
 def oracle_hat_value_at(m: TrigPolynomial, xi: PadicRational) -> complex:
@@ -235,7 +246,7 @@ def oracle_apply_refinement_fourier(m: TrigPolynomial, f: TestFunction) -> TestF
     fhat = fourier(f)
     idx = np.arange(p ** (N + M + 2))
     # Point l/p^(M+1): mask argument has depth M+1+N, fhat argument l/p^M.
-    mask_vals = m.values_on_depth_grid(M + 1 + N)[idx % p ** (M + 1 + N)]
+    mask_vals = oracle_mask_grid(m, M + 1 + N)[idx % p ** (M + 1 + N)]
     ghat = TestFunction(p, M + 1, N + 1, mask_vals * fhat.values[idx % fhat.n])
     return inv_fourier(ghat)
 
@@ -379,6 +390,28 @@ def quartic_mask():
 @pytest.fixture(scope="session")
 def quartic_phi(quartic_mask):
     return refinable_from_mask(quartic_mask, 1)
+
+
+@pytest.fixture()
+def transform_lengths(monkeypatch) -> list[int]:
+    """The length of every transform numpy.fft makes during the test, one entry per vector.
+
+    numpy.fft is one module object, so this sees every caller in the
+    library; clear the list to start a new count.
+    """
+    lengths: list[int] = []
+
+    def counting(real):
+        def spy(a, n=None, axis=-1, **kwargs):
+            a = np.asarray(a)
+            lengths.extend([a.shape[axis]] * (a.size // a.shape[axis]))
+            return real(a, n, axis, **kwargs)
+
+        return spy
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    return lengths
 
 
 @pytest.fixture()

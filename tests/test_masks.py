@@ -10,6 +10,7 @@ from conftest import (
     oracle_apply_refinement,
     oracle_apply_refinement_fourier,
     oracle_hat_value_at,
+    oracle_mask_grid,
     oracle_poly_mul,
 )
 from padic_mra import (
@@ -31,7 +32,11 @@ from padic_mra import (
 )
 from padic_mra.config import GRID_CAP_ENV
 from padic_mra.errors import PreconditionError, SupportViolationError
-from padic_mra.generators import random_covering_mask, random_noise_mask
+from padic_mra.generators import (
+    random_covering_mask,
+    random_noise_mask,
+    random_unimodular_mask,
+)
 from padic_mra.masks import _depth_product
 from padic_mra.padic_core import PadicRational, character
 
@@ -63,6 +68,42 @@ class TestTrigPolynomial:
         grid = m.values_on_depth_grid(t)
         for a in range(3**t):
             assert grid[a] == pytest.approx(m.value(PadicRational(3, a, t)))
+
+    @pytest.mark.parametrize("p, N, M", [(2, 2, 3), (3, 2, 2), (5, 1, 2), (7, 1, 1)])
+    def test_depth_grid_matches_polyval_oracle(self, p, N, M, rng):
+        # up to p^(N+1) coefficients, more than p^t at the shallow depths: the fold
+        masks = [
+            haar_mask(p),
+            random_covering_mask(rng, p, N, M),
+            random_unimodular_mask(rng, p, N),
+            random_noise_mask(rng, p, N),
+            TrigPolynomial(p, rng.normal(size=p ** (N + 1)) + 0j, scale=N),
+        ]
+        deepest = N + M + 1
+        for m in masks:
+            scale = np.sum(np.abs(m.coeffs))
+            # each depth on its own, then every depth as a stride of the deepest
+            depths = range(1, deepest + 1)
+            fresh = [TrigPolynomial(p, m.coeffs, N).values_on_depth_grid(t) for t in depths]
+            strided = TrigPolynomial(p, m.coeffs, N)
+            strided.values_on_depth_grid(deepest)
+            for t in depths:
+                want = oracle_mask_grid(m, t)
+                for got in (fresh[t - 1], strided.values_on_depth_grid(t)):
+                    assert got.shape == (p**t,)
+                    # polyval's own rounding reached 2.4e-14 of the scale, the
+                    # fold's 4e-16, against an extended-precision sum
+                    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("p, N, M", [(2, 2, 4), (3, 1, 2), (5, 0, 3), (7, 1, 1)])
+    def test_refinement_evaluates_each_mask_once(self, p, N, M, rng, transform_lengths):
+        drawn = random_covering_mask(rng, p, N, M)
+        m = TrigPolynomial(p, drawn.coeffs, N)  # no grid cached by the draw's own check
+        transform_lengths.clear()
+        refinable_from_mask(m, M)
+        # one mask grid at depth N+M+1, strided for every shallower depth, and
+        # phi from its transform on its own grid
+        assert sorted(transform_lengths) == [p ** (N + M), p ** (N + M + 1)]
 
 
 class TestMaskFromRoots:

@@ -60,7 +60,7 @@ from padic_mra.wavelets import (
     CoefficientTree,
     WaveletSet,
     _level_spectra,
-    _phi_spectrum,
+    _spectra,
     _v0_residual,
     _wavelet_residuals,
     wavelet_functions,
@@ -217,18 +217,44 @@ class TestWaveletFunctions:
         with pytest.raises(PreconditionError, match="9 taps exceed the window"):
             wavelet_functions(quartic_phi, [wide])
 
+    @pytest.mark.parametrize(
+        "p, N, M", [(2, 2, 0), (3, 1, 0), (5, 1, 0), (2, 1, 2), (3, 2, 1), (7, 1, 1)]
+    )
+    def test_strided_v0_residual_matches_brute_force(self, p, N, M, rng):
+        # any phi in D_N^M has Phi0 zero off the bins p l; at M = 0 the
+        # difference classes |d| < p^N wrap around phi's own grid
+        for _ in range(4):
+            phi = random_function(rng, p, N, M)
+            psi = random_function(rng, p, N, M + 1)
+            want = oracle_v0_residual(phi, psi)
+            got = _v0_residual(fourier(phi).values, fourier(psi).values, p, N)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "case", ["haar-3", "haar-5", "haar-7", "covering-3-2", "covering-5-1", "covering-7-1"]
+    )
+    def test_wavelets_are_integer_translates_of_the_first(self, case, quartic_mask):
+        # n_nu = z^((nu-1) p^N) n_1: psi_nu = psi_1(. - (nu-1)), a roll by (nu-1) p^N
+        sets = _oracle_sets(case, quartic_mask)
+        assert sets
+        for ws in sets:
+            first = ws.wavelets[0].values
+            for nu, psi in enumerate(ws.wavelets[1:], start=2):
+                shifted = np.roll(first, (nu - 1) * ws.prime**ws.support_exp)
+                assert np.max(np.abs(psi.values - shifted)) <= 1e-13 * np.max(np.abs(first))
+
     def test_fft_v0_residual_matches_brute_force(self, quartic_ws, haar3, rng):
         for ws in (quartic_ws, haar3):
             p, N, M = ws.prime, ws.support_exp, ws.period_exp
-            f0 = _phi_spectrum(ws.phi)
+            hat = fourier(ws.phi).values
             for psi in ws.wavelets:
-                got = _v0_residual(f0, fourier(psi).values, p, N)
+                got = _v0_residual(hat, fourier(psi).values, p, N)
                 assert got == pytest.approx(oracle_v0_residual(ws.phi, psi), abs=1e-13)
             for _ in range(8):
                 psi = random_function(rng, p, N, M + 1)
                 want = oracle_v0_residual(ws.phi, psi)
                 assert want > 1e-3
-                got = _v0_residual(f0, fourier(psi).values, p, N)
+                got = _v0_residual(hat, fourier(psi).values, p, N)
                 assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -267,11 +293,11 @@ class TestSharedSpectra:
         sets = _oracle_sets(case, quartic_mask)
         assert sets
         for ws in sets:
-            f0 = _phi_spectrum(ws.phi)
+            hat = fourier(ws.phi).values
             pairs = list(zip(ws.masks, ws.wavelets))
             want = [oracle_wavelet_residuals(ws.phi, mk, psi) for mk, psi in pairs]
             for (mk, psi), (fact, orth) in zip(pairs, want):
-                got = _wavelet_residuals(ws.phi, f0, mk, psi, fourier(psi).values)
+                got = _wavelet_residuals(ws.phi, hat, mk, psi, fourier(psi).values)
                 _assert_residual_matches(got[0], fact)
                 _assert_residual_matches(got[1], orth)
             # verify_wavelet_set reads the same residuals off its batched transform
@@ -279,20 +305,33 @@ class TestSharedSpectra:
             _assert_residual_matches(rep.factorization_residual, max(f for f, _ in want))
             _assert_residual_matches(rep.v0_residual, max(o for _, o in want))
 
+    @pytest.mark.parametrize(
+        "case", ["quartic-1", "haar-3", "kozyrev-5", "covering-2-4", "covering-3-2"]
+    )
+    def test_spectra_match_refined_grid_transforms(self, case, quartic_mask):
+        # phi's two columns come from its own grid: placed every p bins, and tiled over p
+        for ws in _oracle_sets(case, quartic_mask):
+            N, M = ws.support_exp, ws.period_exp
+            gens = [reframe(ws.phi, N, M + 1), *ws.wavelets, reframe(dilate(ws.phi, -1), N, M + 1)]
+            want = np.column_stack([fourier(g).values for g in gens])
+            got = _spectra(ws)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("c", [1e-9, 1e-6, 1.0, 1e6, 1e9])
     def test_scaled_and_broken_masks_match_oracle(self, quartic_phi, quartic_mask, c):
         good = wavelet_masks(quartic_phi, quartic_mask)[0].coeffs
-        f0 = _phi_spectrum(quartic_phi)
+        hat = fourier(quartic_phi).values
         for coeffs in (c * good, c * (good * 1.01 + 0.01)):
             mk = TrigPolynomial(2, coeffs, scale=2)
             psi = oracle_tap_sum(quartic_phi, mk)
-            got = _wavelet_residuals(quartic_phi, f0, mk, psi, fourier(psi).values)
+            got = _wavelet_residuals(quartic_phi, hat, mk, psi, fourier(psi).values)
             want = oracle_wavelet_residuals(quartic_phi, mk, psi)
             _assert_residual_matches(got[0], want[0])
             _assert_residual_matches(got[1], want[1])
 
     @pytest.mark.parametrize("case", ["haar5", "quartic"])
-    def test_each_generator_is_transformed_once(self, case, quartic_mask, monkeypatch):
+    def test_each_generator_is_transformed_once(self, case, quartic_mask, transform_lengths):
         if case == "haar5":
             m0, M = haar_mask(5), 2
         else:
@@ -301,32 +340,27 @@ class TestSharedSpectra:
         masks = wavelet_masks(phi, m0)
         ws = build_wavelet_set(phi, m0)
         p, N, r = ws.prime, ws.support_exp, ws.r
-        # numpy.fft is one module object: this spies on every caller
+        # numpy.fft is one module object: the spy sees every caller
         assert wavelets.np.fft is mra.np.fft is test_functions.np.fft
-        vectors = []
-
-        def counting(real):
-            def spy(a, n=None, axis=-1, **kwargs):
-                a = np.asarray(a)
-                vectors.append(a.size // a.shape[axis])
-                return real(a, n, axis, **kwargs)
-
-            return spy
-
-        for name in ("fft", "ifft"):
-            monkeypatch.setattr(wavelets.np.fft, name, counting(getattr(np.fft, name)))
+        refined = p ** (N + M + 1)
 
         def transforms(call):
-            vectors.clear()
+            """The number of refined-grid transforms call makes; the rest fit phi's grid."""
+            transform_lengths.clear()
             call()
-            return sum(vectors)
+            assert all(n == refined or n <= p ** (N + M) for n in transform_lengths)
+            return transform_lengths.count(refined)
 
-        assert transforms(lambda: wavelet_functions(phi, masks)) <= 1 + 2 * r
+        # phi, phi(x/p) and every V_0 product are read on phi's own grid. Per
+        # wavelet: its mask's grid and its inverse transform; once: B's coefficients.
+        assert transforms(lambda: wavelet_functions(phi, masks)) <= 2 * r
         assert transforms(lambda: build_wavelet_set(phi, m0)) <= 1 + 2 * r
         # the inclusion test transforms its d misfit directions, none for a valid set
         assert frame_bounds(ws).inclusion_count.deficiency == 0
-        assert transforms(lambda: frame_bounds(ws)) <= (r + 2) + r
-        assert transforms(lambda: check_mra(phi)) <= 3
+        # the build cached each mask's grid, so only the wavelets are transformed
+        assert transforms(lambda: frame_bounds(ws)) <= r
+        assert transforms(lambda: check_mra(phi)) == 0
+        assert len(transform_lengths) <= 3
 
 
 class TestFrameBounds:
