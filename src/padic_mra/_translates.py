@@ -12,9 +12,9 @@ residual that sits at tol across it.
 
 Every least-squares solve in the library is _solve, with one rank cut
 (_rcond): eps max(n, columns) times the largest singular value, n the full
-grid. _range and _complement take the same cut on an SVD, for a caller
-that needs the fits or the residuals of many right-hand sides rather
-than their solutions.
+grid. _factor and _complement take the same cut on an SVD, for a caller
+that needs the fits or the residuals of many right-hand sides, or that
+solves one block against many batches of them.
 """
 
 from __future__ import annotations
@@ -110,10 +110,15 @@ def _solve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return np.linalg.lstsq(a, b, rcond=_rcond(n, a.shape[1]))[0]
 
 
-def _range(a: np.ndarray, n: int) -> np.ndarray:
-    """Orthonormal columns U spanning what _solve(a, ., n) fits: its fit of b is U U* b."""
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : _rank(s, n, a.shape[1])]
+def _factor(a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SVD u, s, vh of a, cut at _solve's rank.
+
+    _solve(a, b, n) is vh* (u* b / s), and its fit of b is u u* b: u spans
+    what the solve fits.
+    """
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    rank = _rank(s, n, a.shape[1])
+    return u[:, :rank], s[:rank], vh[:rank]
 
 
 def _complement(a: np.ndarray, n: int) -> np.ndarray:
@@ -156,7 +161,8 @@ def _project(y: np.ndarray, spectrum: np.ndarray, count: int, step: int) -> np.n
     Otherwise it is the lstsq fit on B.
     """
     bins = _support_bins(spectrum)
-    if bins.size > count or np.unique(bins % (y.shape[0] // step)).size < bins.size:
+    nodes = np.sort(bins % (y.shape[0] // step))
+    if bins.size > count or np.any(nodes[1:] == nodes[:-1]):
         return _fit(spectrum, y, count, step)[1]
     out = np.zeros_like(y)
     out[bins] = y[bins]

@@ -247,7 +247,9 @@ def _cmd_frame(args: argparse.Namespace) -> int:
             f"inclusion residual    {report.inclusion_residual:.2e}",
             f"inclusion count       |S| = {count.support_bins}, |T| = {count.target_bins}, "
             f"r p^N = {count.wavelet_translates}, rank {count.rank}, d = {count.deficiency}",
+            f"refinement residual   {report.refinement_residual:.2e}",
             f"V0-orthogonality      {report.v0_residual:.2e}",
+            f"factorization         {report.factorization_residual:.2e}",
             f"verdict               {'PASS' if report.ok else 'FAIL'}",
         ]
     )

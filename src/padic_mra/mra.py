@@ -56,8 +56,8 @@ from .errors import NotRefinableError, PreconditionError
 from .masks import TrigPolynomial
 from ._translates import (
     _chunks,
+    _factor,
     _fit,
-    _range,
     _solve,
     _sup,
     _support_bins,
@@ -162,14 +162,14 @@ def _window_fit(
     refined-grid indices a = r (mod p), where it is phi rolled by m; class o
     of t is b -> t[(p b + o) mod p^(N+M)]. Each class is fitted on the bins
     where phi-hat lives with the refined grid's rank cut, by lstsq (taps) or
-    as a projection on one _range of the block, in chunks. Returns the
+    as a projection on one _factor of the block, in chunks. Returns the
     coefficients x[m, j] of class offsets[j] (None unless taps), so the tap
     h[r + p m] is x[m, r], and each class's sup misfit in space.
     """
     q, n = t.shape[0], p ** (N + M + 1)
     rows = _support_rows(hat[:, None], p**N)
     a = _translates(rows.spectra, rows.phases, p**N)
-    u = None if taps else _range(a, n)
+    u = None if taps else _factor(a, n)[0]
     x, sups = [], []
     for chunk in _chunks(offsets.size, q):
         y = _fourier_values(t[(p * np.arange(q)[:, None] + offsets[chunk]) % q], p, M)

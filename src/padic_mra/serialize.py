@@ -193,6 +193,7 @@ def frame_report_to_json(r: FrameReport) -> dict:
             "rank": count.rank,
             "deficiency": count.deficiency,
         },
+        "refinement_residual": r.refinement_residual,
         "v0_residual": r.v0_residual,
         "factorization_residual": r.factorization_residual,
         "generator_count": r.generator_count,

@@ -52,15 +52,23 @@ mask; so verify_wavelet_set and frame_bounds transform each wavelet once
 on the refined grid and phi once on its own, besides the mask grids
 (cached on each mask, so a set that was just built has them).
 
-The multilevel transform runs on support rows too. A translate by
-k/p^(N+j) before the dilation by p^-j is one by k/p^N after it, a roll by
-k step on the working frame, so each level's translates are phases times
-the transform of one dilated generator. V_j's projection is the band of
-the input's transform on the bins where the level-j dilate of phi lives,
-exact when those bins carry distinct nodes and number at most p^(N+j)
-(the same Vandermonde count), and the lstsq on them otherwise; the
-details are the minimum-norm lstsq of the W_j translates on their own
-support bins. Synthesis multiplies each generator's transform by the
+The multilevel transform runs on support rows too, and reads every level
+off one level-0 transform. A translate by k/p^(N+j) before the dilation
+by p^-j is one by k/p^N after it, a roll by k step on the working frame,
+and the transform of the level-j dilate at xi is p^(-j/2) times that of
+the generator at p^j xi: a gather and a scale of one transform of phi and
+the wavelets (_dilated), with no per-level dilation, reframing or
+transform. V_j's projection is the band of the input's transform on the
+bins where the level-j dilate of phi lives, exact when those bins carry
+distinct nodes and number at most p^(N+j) (the same Vandermonde count),
+and the lstsq on them otherwise. Level j's rolls split by k step mod p^j
+into mutually orthogonal classes, each the level-0 block of the rolls by
+1 under a phase: so the details of every level, and the level-j0
+coefficients, are a DFT over the level-j bins above each level-0 bin
+followed by one pseudo-inverse of that level-0 block, factored once per
+call. When f lives on a larger ball than phi (step = p^a), the levels
+j < a hold a column subset of that block and take the lstsq on their own
+bins instead. Synthesis multiplies each gathered spectrum by the
 character sum of its coefficients, level by level. No step builds an
 n-row matrix.
 """
@@ -77,6 +85,7 @@ from ._translates import (
     _SupportRows,
     _chunks,
     _complement,
+    _factor,
     _fit,
     _project,
     _rank,
@@ -92,7 +101,6 @@ from .test_functions import (
     TestFunction,
     _fourier_values,
     _inv_fourier_values,
-    dilate,
     fourier,
     norm_l2,
     omega,
@@ -280,6 +288,8 @@ class WaveletSet:
         # The checks pair wavelet i with mask i and read every wavelet on the
         # frame (N, M+1) of phi's prime; a set that breaks that is refused.
         p, frame = self.prime, (self.support_exp, self.period_exp + 1)
+        if self.scaling_mask.prime != p:
+            raise PreconditionError(f"scaling mask has prime {self.scaling_mask.prime}, expected {p}")
         if len(self.wavelets) != len(self.masks):
             raise PreconditionError(f"{len(self.wavelets)} wavelets but {len(self.masks)} masks")
         for i, (psi, mk) in enumerate(zip(self.wavelets, self.masks)):
@@ -354,9 +364,15 @@ class InclusionCount:
 
 @dataclass
 class WaveletVerification:
-    """Residual evidence that a wavelet set is one, with the inclusion count."""
+    """Residual evidence that a wavelet set is one, with the inclusion count.
+
+    refinement_residual checks the premise V_0 in V_1: the scaling mask
+    refines phi, phi-hat(xi) = m_0(xi/p^N) phi-hat(p xi) on the refined
+    grid, relative to sup |phi-hat|.
+    """
 
     tol: float
+    refinement_residual: float
     v0_residual: float
     factorization_residual: float
     inclusion_residual: float
@@ -365,7 +381,8 @@ class WaveletVerification:
     @property
     def ok(self) -> bool:
         return (
-            self.v0_residual <= self.tol
+            self.refinement_residual <= self.tol
+            and self.v0_residual <= self.tol
             and self.factorization_residual <= self.tol
             and self.inclusion_residual <= self.tol
         )
@@ -419,10 +436,12 @@ def _verify(ws: WaveletSet, tol: float) -> tuple[WaveletVerification, _SupportRo
     The full spectra are dropped once the per-wavelet residuals are read,
     before the inclusion test transforms its misfit basis.
     """
+    p, N, M = ws.prime, ws.support_exp, ws.period_exp
     spectra = _spectra(ws)
-    rows = _support_rows(spectra, ws.prime ** (ws.support_exp + 1))
+    rows = _support_rows(spectra, p ** (N + 1))
     target_bins = _support_bins(spectra[:, -1:]).size
-    hat = spectra[:: ws.prime, 0]
+    hat = spectra[::p, 0]
+    refinement = _relative(_sup(spectra[:, 0] - _factorized(hat, ws.scaling_mask, p, N, M)), _sup(hat))
     v0 = 0.0
     fact = 0.0
     for i, (mk, psi) in enumerate(zip(ws.masks, ws.wavelets)):
@@ -430,11 +449,14 @@ def _verify(ws: WaveletSet, tol: float) -> tuple[WaveletVerification, _SupportRo
         fact, v0 = max(fact, f), max(v0, o)
     del hat, spectra
     inclusion, count = _inclusion(ws, rows, target_bins)
-    return WaveletVerification(tol, v0, fact, inclusion, count), rows
+    return WaveletVerification(tol, refinement, v0, fact, inclusion, count), rows
 
 
 def verify_wavelet_set(ws: WaveletSet, tol: float | None = None) -> WaveletVerification:
-    """Re-check a set from scratch: orthogonality, factorization, inclusion.
+    """Re-check a set from scratch: refinement, orthogonality, factorization, inclusion.
+
+    Refinement: the scaling mask must refine phi (WaveletVerification), the
+    MRA premise that the other checks do not read.
 
     Inclusion: every refined generator phi(x/p - a), a in I_p with
     |a|_p <= p^(N+1), must be expressible through the translates of phi and
@@ -568,10 +590,76 @@ def _working_frame(ws: WaveletSet, f: TestFunction, j1: int) -> tuple[int, int]:
     return (max(ws.support_exp, f.support_exp), max(ws.period_exp + 1 + j1, f.period_exp))
 
 
-def _level_spectra(funcs: list[TestFunction], j: int, frame: tuple[int, int]) -> np.ndarray:
-    """Transforms on frame of the level-j dilates p^(j/2) f(p^-j x), one column per f."""
-    gens = [reframe(dilate(f, -j, normalized=True), *frame).values for f in funcs]
+def _frame_spectra(funcs: list[TestFunction], frame: tuple[int, int]) -> np.ndarray:
+    """Transforms of funcs on frame, one column each: their level-0 spectra."""
+    gens = [reframe(f, *frame).values for f in funcs]
     return _fourier_values(np.column_stack(gens), funcs[0].prime, frame[1])
+
+
+def _dilated(spectra: np.ndarray, p: int, j: int) -> np.ndarray:
+    """Spectra of the level-j dilates p^(j/2) g(p^-j x), gathered from level 0.
+
+    spectra holds the level-0 transforms, one column per generator, on the
+    working frame. The transform of a dilate at xi is p^(-j/2) g-hat(p^j xi),
+    so bin s reads bin p^j s mod n, xi and xi + p^N on a frame (N, M)
+    being one coset.
+    """
+    n = spectra.shape[0]
+    return spectra[(p**j * np.arange(n)) % n] * float(p) ** (-j / 2)
+
+
+class _Levels:
+    """The level-j rolls by step of some generators, fitted through one level-0 factorization.
+
+    spectra holds the generators' level-0 transforms (one column each, on
+    the working frame), step = p^a, and a level has p^(N+j) rolls. The
+    factorization is made by the first fit that needs it.
+    """
+
+    def __init__(self, spectra: np.ndarray, p: int, N: int, step: int) -> None:
+        self.spectra, self.p, self.N, self.step = spectra, p, N, step
+        self._block: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def fit(self, y: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """_fit of the transform y through the level-j rolls, through one level-0 factorization.
+
+        The level-0 block is the p^N step rolls by 1 of the generators on
+        their support bins, factored once (_factor) by the first level that
+        needs it. Every support bin t is a multiple of size = p^j, and the
+        level-j bins above it are s = (t + q n) / size, q < size. There the
+        roll by k step = c + size m, c < size, is G_j(s) times the twiddle
+        exp(2 pi i t c / (size n)), omega^(q c) with omega = exp(2 pi i / size),
+        and roll m by 1 at level 0, where G_j(s) = p^(-j/2) G_0(t). So the DFT
+        over q splits y into size mutually orthogonal classes c: class c, its
+        twiddle and scale undone, is fitted through the level-0 block, and
+        the classes that are not multiples of step hold no roll and stay
+        misfit. The level's singular values are the block's, each repeated
+        size / step times up to one scale, so both take the same cut. The
+        levels j < a hold a column subset of the block and are fitted by
+        _fit on their own support bins. Returns the coefficients, one row
+        per generator, and the transform of the fit.
+        """
+        p, step = self.p, self.step
+        if step > p**j:
+            return _fit(_dilated(self.spectra, p, j), y, p ** (self.N + j), step)
+        if self._block is None:
+            rows = _support_rows(self.spectra, p**self.N * step)
+            a = _translates(rows.spectra, rows.phases, p**self.N * step)
+            self._block = (rows.bins, *_factor(a, rows.n))
+        bins, u, sv, vh = self._block
+        n, size = y.shape[0], p**j
+        s = (bins[None, :] + n * np.arange(size)[:, None]) // size
+        c = step * np.arange(size // step)
+        twiddle = np.exp(2j * np.pi * ((c[:, None] * bins[None, :]) % (size * n)) / (size * n))
+        z = np.conj(twiddle) * _inv_fourier_values(y[s], p, 0)[::step] * float(p) ** (-j / 2)
+        w = u.conj().T @ z.T
+        x = vh.conj().T @ (w / sv[:, None])
+        classes = np.zeros((size, bins.size), dtype=np.complex128)
+        classes[::step] = twiddle * (u @ w).T * float(p) ** (j / 2)
+        fit = np.zeros_like(y)
+        fit[s] = _fourier_values(classes, p, j)
+        # row (generator, m) of x, column c / step: coefficient c / step + (size / step) m
+        return x.reshape(self.spectra.shape[1], -1), fit
 
 
 def analyze(
@@ -586,11 +674,17 @@ def analyze(
     space is subtracted and the complement is expanded over the wavelet
     translates; for f in the level-j1 truncated space the round trip with
     synthesize is exact to tolerance. Everything runs on the transform of
-    f on the working frame: a projection is the band on the bins where the
-    level's dilate of phi lives (or the lstsq on them when its translates
-    do not span them), the details are the minimum-norm lstsq of the
-    wavelet translates on their own support bins, and the residuals are
-    space-domain sup norms, read off one inverse transform each.
+    f on the working frame, and every level's spectra are gathered from
+    one level-0 transform of phi and the wavelets (_dilated). A projection
+    is the band on the bins where the level's dilate of phi lives, or the
+    lstsq on them when its translates do not span them. The details, and
+    the level-j0 coefficients, are minimum-norm solves through one SVD of
+    the level-0 block of the wavelets, or of phi, made once per call and
+    shared by every level (_Levels.fit). When f lives on a larger ball than
+    phi, a translate is a roll by step = p^a, and the levels j < a, whose
+    rolls are a column subset of that block, take the lstsq on their own
+    support bins instead. The residuals are space-domain sup norms, read
+    off one inverse transform each.
     """
     if f.prime != ws.prime:
         raise PreconditionError(f"mixed primes {ws.prime} and {f.prime}")
@@ -603,23 +697,22 @@ def analyze(
     # A translate by k/p^N on the working frame is a roll by k step.
     step = p ** (frame[0] - N)
     target = _fourier_values(reframe(f, *frame).values, p, frame[1])
+    spectra = _frame_spectra([ws.phi, *ws.wavelets], frame)
+    phi, wavelets = (_Levels(g, p, N, step) for g in (spectra[:, :1], spectra[:, 1:]))
 
-    g = _level_spectra([ws.phi], j1, frame)
-    y = _project(target, g, p ** (N + j1), step)
+    y = _project(target, _dilated(spectra[:, :1], p, j1), p ** (N + j1), step)
     input_residual = _sup(_inv_fourier_values(y - target, p, frame[0]))
 
     details: dict[int, np.ndarray] = {}
     split_residuals: dict[int, float] = {}
     for j in range(j1 - 1, j0 - 1, -1):
-        count = p ** (N + j)
-        g = _level_spectra([ws.phi], j, frame)
-        smooth = _project(y, g, count, step)
+        smooth = _project(y, _dilated(spectra[:, :1], p, j), p ** (N + j), step)
         residue = y - smooth
-        details[j], fit = _fit(_level_spectra(ws.wavelets, j, frame), residue, count, step)
+        details[j], fit = wavelets.fit(residue, j)
         split_residuals[j] = _sup(_inv_fourier_values(fit - residue, p, frame[0]))
         y = smooth
-    # g is the level-j0 dilate of phi, and y lies in its span.
-    approx = _fit(g, y, p ** (N + j0), step)[0][0]
+    # y lies in the span of the level-j0 translates of phi.
+    approx = phi.fit(y, j0)[0][0]
     return CoefficientTree(
         prime=p,
         j0=j0,
@@ -636,8 +729,10 @@ def analyze(
 def synthesize(tree: CoefficientTree, ws: WaveletSet) -> TestFunction:
     """Rebuild the function a CoefficientTree describes.
 
-    Each level is one product per generator: the transform of its dilate
-    times the character sum of its coefficients placed every step points.
+    Each level is one product per generator: the transform of its dilate,
+    gathered from one level-0 transform of phi and the wavelets
+    (_dilated), times the character sum of its coefficients placed
+    every step points.
     """
     if tree.prime != ws.prime:
         raise PreconditionError(f"mixed primes {ws.prime} and {tree.prime}")
@@ -645,9 +740,8 @@ def synthesize(tree: CoefficientTree, ws: WaveletSet) -> TestFunction:
     check_limits(ws.prime, sum(frame), ws.tol)
     p = ws.prime
     step = p ** (frame[0] - ws.support_exp)
-    phi = _level_spectra([ws.phi], tree.j0, frame)
-    acc = _translate_sum(phi, np.reshape(tree.approx, (1, -1)), p, step)
+    spectra = _frame_spectra([ws.phi, *ws.wavelets] if tree.details else [ws.phi], frame)
+    acc = _translate_sum(_dilated(spectra[:, :1], p, tree.j0), np.reshape(tree.approx, (1, -1)), p, step)
     for j, dj in tree.details.items():
-        wavelets = _level_spectra(ws.wavelets, j, frame)
-        acc += _translate_sum(wavelets, np.reshape(dj, (ws.r, -1)), p, step)
+        acc += _translate_sum(_dilated(spectra[:, 1:], p, j), np.reshape(dj, (ws.r, -1)), p, step)
     return TestFunction(p, frame[0], frame[1], _inv_fourier_values(acc, p, frame[0]))

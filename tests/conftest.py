@@ -10,8 +10,9 @@ time, one refinement step by a tap-weighted sum of rolls
 or on the transform side, the refinement window and its rolled targets as
 one dense space-domain block (oracle_window_solve), each wavelet as the tap-weighted sum of rolls of
 its mask (oracle_tap_sum), the transform's level matrices column by
-column through shift, dilate and reframe and the multilevel transform as
-dense least-squares solves on them, the wavelet masks with the degree
+column through shift, dilate and reframe, the multilevel transform as
+dense least-squares solves on them and the multilevel frame as the dense
+Gram of those columns, the wavelet masks with the degree
 padded by a power of z - 1, the wavelet inclusion test
 and frame Gram on the full refined grid, one rolled column at a time,
 each wavelet's factorization and V_0 residuals from its own transforms,
@@ -305,6 +306,23 @@ def oracle_synthesize(tree, ws) -> np.ndarray:
     for j, dj in tree.details.items():
         acc = acc + oracle_level_matrix(ws.wavelets, N, j, tree.frame) @ dj.reshape(-1)
     return acc
+
+
+def oracle_multilevel_gram(ws, j0: int, j1: int) -> tuple[np.ndarray, list[int]]:
+    """Gram of phi's level-j0 translates and the wavelets' at levels j0..j1-1, dense.
+
+    Every column is built one TestFunction at a time (oracle_level_matrix)
+    on the working frame (N, M+1+j1) of analyze, and the Gram is
+    p^-M' a* a on all its grid rows, M' that frame's period exponent.
+    Returns the Gram and the column count of each block: phi's first, then
+    one per level.
+    """
+    N, M = ws.support_exp, ws.period_exp
+    frame = (N, M + 1 + j1)
+    blocks = [oracle_level_matrix([ws.phi], N, j0, frame)]
+    blocks += [oracle_level_matrix(ws.wavelets, N, j, frame) for j in range(j0, j1)]
+    a = np.column_stack(blocks)
+    return float(ws.prime) ** (-frame[1]) * (a.conj().T @ a), [b.shape[1] for b in blocks]
 
 
 def oracle_padded_wavelet_masks(phi: TestFunction, lset) -> list[TrigPolynomial]:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from padic_mra import TestFunction, TrigPolynomial, haar_mask, omega, reframe, serialize
+from padic_mra import TestFunction, TrigPolynomial, build_wavelet_set, haar_mask, omega, reframe, serialize
 from padic_mra.cli import main
 from padic_mra.generators import random_function
 from padic_mra.wavelets import WaveletSet
@@ -264,6 +264,32 @@ class TestMaskPipeline:
         )
         code, _ = run(capsys, "refine", "--mask", str(mask_file), "--M", "0")
         assert code == 1
+
+
+class TestFrameCommand:
+    def test_mask_that_does_not_refine_phi_fails(self, quartic_phi, tmp_path, capsys):
+        # the constant mask 1 passes every check that reads only phi and the
+        # wavelets; the refinement residual is what fails
+        ws = build_wavelet_set(quartic_phi, TrigPolynomial(2, np.array([1.0 + 0j]), scale=2))
+        (tmp_path / "ws.json").write_text(json.dumps(serialize.wavelet_set_to_json(ws)))
+        code, out = run(capsys, "frame", "--ws", str(tmp_path / "ws.json"), "--json")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["refinement_residual"] > 1.0 and doc["inclusion_residual"] <= 1e-12
+        code, out = run(capsys, "frame", "--ws", str(tmp_path / "ws.json"))
+        assert code == 1
+        assert "refinement residual   1.22e+00" in out and "FAIL" in out
+
+    def test_text_shows_every_residual(self, tmp_path, capsys):
+        main(["haar", "--p", "3", "--out", str(tmp_path / "haar.json")])
+        doc = json.loads((tmp_path / "haar.json").read_text())["wavelet_set"]
+        (tmp_path / "ws.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code, out = run(capsys, "frame", "--ws", str(tmp_path / "ws.json"))
+        assert code == 0
+        for label in ("refinement residual", "V0-orthogonality", "factorization", "inclusion residual"):
+            assert label in out
+        assert "PASS" in out
 
 
 class TestCheckFailures:

@@ -39,7 +39,9 @@ from padic_mra import (
 )
 from conftest import (
     oracle_analyze,
+    oracle_apply_refinement_fourier,
     oracle_inclusion_residual,
+    oracle_multilevel_gram,
     oracle_padded_wavelet_masks,
     oracle_synthesize,
     oracle_tap_sum,
@@ -59,7 +61,8 @@ from padic_mra._translates import _support_bins
 from padic_mra.wavelets import (
     CoefficientTree,
     WaveletSet,
-    _level_spectra,
+    _dilated,
+    _frame_spectra,
     _spectra,
     _v0_residual,
     _wavelet_residuals,
@@ -447,6 +450,93 @@ def _scaled(ws, c):
     )
 
 
+def _nonzero_extremes(gram: np.ndarray) -> tuple[float, float]:
+    lam = np.linalg.eigvalsh(gram)
+    lam = lam[lam > 1e-9 * lam[-1]]
+    return float(lam[0]), float(lam[-1])
+
+
+class TestRefinement:
+    """ok covers the MRA premise: the scaling mask refines phi."""
+
+    @pytest.fixture(scope="class")
+    def constant_mask_set(self, quartic_phi):
+        # the constant mask 1 passes every check that reads only phi and
+        # the wavelets: the wavelets are built from phi and L alone
+        return build_wavelet_set(quartic_phi, TrigPolynomial(2, np.array([1.0 + 0j]), scale=2))
+
+    def test_constant_mask_is_not_ok(self, constant_mask_set):
+        rep = frame_bounds(constant_mask_set)
+        assert rep.refinement_residual > 1.0
+        assert max(rep.v0_residual, rep.factorization_residual, rep.inclusion_residual) <= 1e-12
+        assert (rep.A, rep.B) == pytest.approx((0.2098630225, 79.6093022))
+        assert not rep.ok and not verify_wavelet_set(constant_mask_set).ok
+
+    def test_valid_sets_refine(self, quartic_mask, haar2, haar3):
+        sets = [
+            haar2,
+            haar3,
+            *(build_wavelet_set(refinable_from_mask(quartic_mask, M), quartic_mask) for M in (1, 3, 5)),
+            *(kozyrev_set(p) for p in (2, 3, 5)),
+            *_covering_sets(2, 4, seed=4, draws=3),
+            *_covering_sets(3, 2, seed=2, draws=3),
+        ]
+        for ws in sets:
+            rep = frame_bounds(ws)
+            assert rep.ok and rep.refinement_residual <= 1e-12
+
+    def test_residual_matches_tap_oracle(self, quartic_ws, constant_mask_set, haar3):
+        # phi-hat against the transform of one refinement step, its mask read
+        # by polyval, on the frame (N+1, M+1)
+        for ws in (quartic_ws, constant_mask_set, haar3):
+            phi = ws.phi
+            N, M = phi.frame
+            want = fourier(oracle_apply_refinement_fourier(ws.scaling_mask, phi)).values
+            have = fourier(reframe(phi, N + 1, M + 1)).values
+            oracle = np.max(np.abs(have - want)) / np.max(np.abs(have))
+            assert verify_wavelet_set(ws).refinement_residual == pytest.approx(oracle, rel=1e-9, abs=1e-13)
+
+    def test_scaling_mask_of_another_prime_is_refused(self, haar3):
+        with pytest.raises(PreconditionError, match="scaling mask has prime 2"):
+            WaveletSet(haar3.phi, haar_mask(2), haar3.wavelets, haar3.masks)
+
+
+class TestMultilevelFrame:
+    """Claim (d): the levels of W_j are mutually orthogonal dilates of W_0."""
+
+    @pytest.mark.parametrize("case", ["quartic_ws", "haar2", "haar3", "kozyrev", "covering-0", "covering-1"])
+    def test_levels_keep_the_level0_bounds(self, case, request):
+        family, _, draw = case.partition("-")
+        if family == "covering":
+            ws = _covering_sets(2, 3, seed=0, draws=2)[int(draw)]
+        else:
+            ws = kozyrev_set(3) if case == "kozyrev" else request.getfixturevalue(case)
+        rep = frame_bounds(ws)
+        # covering sets reach B = 68 here: their products are read at B's scale
+        cross_tol = 1e-13 * (rep.B if family == "covering" else 1.0)
+        # phi's own translate system, the level-j0 block of the oracle at j0 = 0
+        gram, sizes = oracle_multilevel_gram(ws, 0, 1)
+        a_phi, b_phi = _nonzero_extremes(gram[: sizes[0], : sizes[0]])
+        for j0 in (0, 1):
+            for j1 in range(j0 + 1, j0 + 4):
+                gram, sizes = oracle_multilevel_gram(ws, j0, j1)
+                edges = np.cumsum([0, *sizes])
+                for i in range(len(sizes)):
+                    for k in range(i + 1, len(sizes)):
+                        cross = gram[edges[i] : edges[i + 1], edges[k] : edges[k + 1]]
+                        assert np.max(np.abs(cross)) <= cross_tol, (j0, j1, i, k)
+                wavelets = _nonzero_extremes(gram[sizes[0] :, sizes[0] :])
+                assert wavelets == pytest.approx((rep.A, rep.B), rel=1e-9)
+                assert _nonzero_extremes(gram) == pytest.approx(
+                    (min(a_phi, rep.A), max(b_phi, rep.B)), rel=1e-9
+                )
+        if case == "quartic_ws":
+            assert (rep.A, rep.B) == pytest.approx((0.209863, 79.6093), rel=1e-6)
+            assert (min(a_phi, rep.A), max(b_phi, rep.B)) == pytest.approx((0.0484338, 79.6093), rel=1e-6)
+        if case == "haar3":
+            assert (rep.A, rep.B, a_phi, b_phi) == pytest.approx((3.0, 9.0, 1.0, 1.0))
+
+
 class TestSupportRows:
     """Inclusion and Gram on the Fourier support against the full-grid oracles."""
 
@@ -757,8 +847,8 @@ class TestLeastSquares:
         assert _rank_at_the_cut(a, 64) == 3 and q.shape == (6, 3)
         assert np.allclose(q.conj().T @ q, np.eye(3), atol=1e-12)
         assert np.max(np.abs((a @ x - y) + q @ (q.conj().T @ y))) <= 1e-12
-        # _range is the other side: the fit itself is the projection on it
-        u = _translates._range(a, 64)
+        # _factor's u is the other side: the fit itself is the projection on it
+        u = _translates._factor(a, 64)[0]
         assert u.shape == (6, 3)
         assert np.max(np.abs(a @ x - u @ (u.conj().T @ y))) <= 1e-12
         # wide: 3 independent rows, then a fourth that the cut folds into the first
@@ -877,33 +967,120 @@ class TestTransform:
                     f = _transform_input(ws, rng, extra, j1, in_space, j0)
                     _assert_matches_dense_oracle(ws, f, j0, j1)
 
+    @pytest.mark.parametrize("case, extra", [("haar2", 2), ("haar3", 1), ("haar3", 2), ("quartic_ws", 1)])
+    def test_larger_balls_match_dense_oracle(self, case, extra, request, rng):
+        # step = p^a: the levels j >= a go through the block of p^(N+a)
+        # rolls by 1, the levels j < a through _fit
+        ws = request.getfixturevalue(case)
+        for j1 in range(4 if ws.prime == 2 else 3):
+            for j0 in range(j1 + 1):
+                _assert_matches_dense_oracle(ws, _transform_input(ws, rng, extra, j1, False), j0, j1)
+
     @pytest.mark.parametrize("case", ["haar2", "quartic_ws", "wide"])
     def test_lstsq_sees_only_support_bins(self, case, request, rng, monkeypatch):
+        # the details and the level-j0 coefficients go through one SVD of
+        # each level-0 block; lstsq is left to the levels j < a and to the
+        # projections, when f lives on a larger ball than phi (step p^a)
         ws = request.getfixturevalue("haar2" if case == "wide" else case)
         j1 = 4
         f = _transform_input(ws, rng, int(case == "wide"), j1, False)
         frame = (f.support_exp, f.period_exp)
         n = f.n
-        allowed = {
-            _support_bins(_level_spectra(funcs, j, frame)).size
-            for j in range(j1 + 1)
-            for funcs in ([ws.phi], ws.wavelets)
-        }
-        seen = []
-        real = np.linalg.lstsq
 
-        def spy(a, b, rcond=None):
-            seen.append((a.shape[0], rcond))
-            return real(a, b, rcond=rcond)
+        def bins(funcs, j):
+            cols = [fourier(reframe(dilate(g, -j, normalized=True), *frame)).values for g in funcs]
+            return _support_bins(np.column_stack(cols)).size
 
-        monkeypatch.setattr(wavelets.np.linalg, "lstsq", spy)
+        allowed = {bins(funcs, j) for j in range(j1 + 1) for funcs in ([ws.phi], ws.wavelets)}
+        solves, factored, cuts = [], [], []
+        real_lstsq, real_factor, real_rcond = np.linalg.lstsq, wavelets._factor, _translates._rcond
+
+        def lstsq_spy(a, b, rcond=None):
+            solves.append(a.shape[0])
+            return real_lstsq(a, b, rcond=rcond)
+
+        def factor_spy(a, n):
+            factored.append(a.shape[0])
+            return real_factor(a, n)
+
+        def rcond_spy(n, columns):
+            cuts.append(real_rcond(n, columns))
+            return cuts[-1]
+
+        monkeypatch.setattr(wavelets.np.linalg, "lstsq", lstsq_spy)
+        monkeypatch.setattr(wavelets, "_factor", factor_spy)
+        monkeypatch.setattr(_translates, "_rcond", rcond_spy)
         analyze(f, ws, j0=0, j1=j1)
-        # the details of each level and the level-j0 coefficients; on the
-        # larger ball also the lstsq projection of each level
-        assert len(seen) == (2 * j1 + 2 if case == "wide" else j1 + 1)
-        assert all(rows in allowed and rows < n for rows, _ in seen), (seen, allowed, n)
+        if case == "wide":
+            # a = 1: the projections of levels j1..0, the details of level 0
+            # and the level-0 coefficients; the wavelet block serves j >= 1
+            assert len(solves) == j1 + 3
+            assert factored == [bins(ws.wavelets, 0)]
+        else:
+            assert not solves
+            assert factored == [bins(ws.wavelets, 0), bins([ws.phi], 0)]
+        assert all(rows in allowed and rows < n for rows in solves), (solves, allowed, n)
         # the rank cut is no lower than the one lstsq takes on all n grid rows
-        assert all(c is not None and c >= np.finfo(float).eps * n for _, c in seen)
+        assert cuts and all(c >= np.finfo(float).eps * n for c in cuts)
+
+    @pytest.mark.parametrize("case", ["haar3", "quartic_ws"])
+    def test_every_level_is_gathered_from_level_0(self, case, request):
+        # the level-j spectra read off the level-0 transform equal the
+        # transforms of the dilates, reframed one by one
+        ws = request.getfixturevalue(case)
+        p, N, M = ws.prime, ws.support_exp, ws.period_exp
+        for extra in (0, 1):
+            frame = (N + extra, M + 1 + 4)
+            funcs = [ws.phi, *ws.wavelets]
+            spectra = _frame_spectra(funcs, frame)
+            for j in range(5):
+                want = np.column_stack(
+                    [fourier(reframe(dilate(g, -j, normalized=True), *frame)).values for g in funcs]
+                )
+                assert np.max(np.abs(_dilated(spectra, p, j) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_one_level0_transform_serves_every_level(self, quartic_ws, rng, monkeypatch):
+        # analyze reframes f, phi and each wavelet once, whatever the level
+        # count; synthesize reframes the wavelets only when there are details
+        calls = []
+        real = wavelets.reframe
+
+        def spy(f, *frame):
+            calls.append(f)
+            return real(f, *frame)
+
+        monkeypatch.setattr(wavelets, "reframe", spy)
+        for j0, j1 in ((0, 1), (0, 4), (2, 2)):
+            f = random_function(rng, 2, 2, 2 + j1)
+            calls.clear()
+            tree = analyze(f, quartic_ws, j0=j0, j1=j1)
+            assert len(calls) == quartic_ws.r + 2
+            calls.clear()
+            synthesize(tree, quartic_ws)
+            assert len(calls) == (quartic_ws.r + 1 if tree.details else 1)
+
+    @pytest.mark.parametrize("p, j1", [(2, 12), (3, 7)])
+    def test_round_trip_reach(self, p, j1, rng):
+        # n = 8192 and 6561; the input is the library's synthesis of a
+        # random tree, and Haar's blocks have full column rank, so the
+        # minimum-norm coefficients are the tree's own
+        ws = build_wavelet_set(refinable_from_mask(haar_mask(p), 0), haar_mask(p))
+        frame = (0, 1 + j1)
+
+        def coeffs(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        tree = CoefficientTree(
+            p, 0, j1, coeffs(1), {j: coeffs(ws.r, p**j) for j in range(j1)}, 0.0, {}, frame, ws.tol
+        )
+        f = synthesize(tree, ws)
+        got = analyze(f, ws, j0=0, j1=j1)
+        assert got.input_residual < 1e-9
+        assert max(got.split_residuals.values()) < 1e-9
+        assert allclose(f, synthesize(got, ws), tol=1e-9)
+        assert np.allclose(got.approx, tree.approx, atol=1e-9)
+        for j in range(j1):
+            assert np.allclose(got.details[j], tree.details[j], atol=1e-9)
 
     def test_round_trip_haar_j1_10(self, haar2, rng):
         # n = 2048: dense level solves took about 2 s here
