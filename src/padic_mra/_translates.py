@@ -12,9 +12,11 @@ residual that sits at tol across it.
 
 Every least-squares solve in the library is _solve, with one rank cut
 (_rcond): eps max(n, columns) times the largest singular value, n the full
-grid. _factor and _complement take the same cut on an SVD, for a caller
-that needs the fits or the residuals of many right-hand sides, or that
-solves one block against many batches of them.
+grid; the mask fit and the shift expansions use it. _factor and
+_complement take the same cut on an SVD, for a caller that needs the fits
+or the residuals of many right-hand sides, or that solves one block
+against many batches of them, as every fit of the multilevel transform
+does.
 """
 
 from __future__ import annotations
@@ -149,24 +151,6 @@ def _fit(
     fit = np.zeros_like(y)
     fit[rows.bins] = a @ x
     return x.reshape(spectra.shape[1], -1), fit
-
-
-def _project(y: np.ndarray, spectrum: np.ndarray, count: int, step: int) -> np.ndarray:
-    """Orthogonal projection of the transform y onto count rolls by step of one generator.
-
-    On the generator's support bins B the rolls are the rows G(s) z_s^k with
-    nodes z_s = exp(2 pi i s step / n). When the nodes are distinct and
-    |B| <= count, that Vandermonde system has full row rank, so the rolls
-    span every vector on B and the projection is the band of y on B.
-    Otherwise it is the lstsq fit on B.
-    """
-    bins = _support_bins(spectrum)
-    nodes = np.sort(bins % (y.shape[0] // step))
-    if bins.size > count or np.any(nodes[1:] == nodes[:-1]):
-        return _fit(spectrum, y, count, step)[1]
-    out = np.zeros_like(y)
-    out[bins] = y[bins]
-    return out
 
 
 # Values per chunk when many right-hand sides are carried to space at once.

@@ -99,6 +99,11 @@ def _require_frame(f: TestFunction) -> tuple[int, int]:
     return N, M
 
 
+def _lifted(f: TestFunction) -> TestFunction:
+    """f on the frame with negative components lifted to zero; every value is kept."""
+    return reframe(f, max(f.support_exp, 0), max(f.period_exp, 0))
+
+
 # --------------------------------------------------------------------------
 # The L set
 
@@ -134,6 +139,8 @@ class LSet:
 
 
 def l_set(phi: TestFunction, tol: float = DEFAULT_TOL) -> LSet:
+    """The L set of phi, its frame's negative components lifted to zero first."""
+    phi = _lifted(phi)
     return _l_set(phi, fourier(phi).values, tol)
 
 
@@ -309,7 +316,9 @@ class OrthonormalityReport:
 def check_orthonormal_shifts(
     phi: TestFunction, tol: float = DEFAULT_TOL
 ) -> OrthonormalityReport:
-    N, M = _require_frame(phi)
+    """Orthonormality of phi's translates, its frame's negative components lifted to zero first."""
+    phi = _lifted(phi)
+    N, M = phi.frame
     check_limits(phi.prime, N + M, tol)
     return _orthonormality(phi, fourier(phi).values, tol)
 
@@ -433,7 +442,7 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
     For an orthonormal phi that meets the criterion, Haar equivalence is
     the set equality of L with the unit-ball residues; no solve is needed.
     """
-    phi = reframe(phi, max(phi.support_exp, 0), max(phi.period_exp, 0))
+    phi = _lifted(phi)
     N, M = phi.frame
     p = phi.prime
     check_limits(p, N + M + 1, tol)

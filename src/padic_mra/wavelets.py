@@ -58,19 +58,16 @@ by p^-j is one by k/p^N after it, a roll by k step on the working frame,
 and the transform of the level-j dilate at xi is p^(-j/2) times that of
 the generator at p^j xi: a gather and a scale of one transform of phi and
 the wavelets (_dilated), with no per-level dilation, reframing or
-transform. V_j's projection is the band of the input's transform on the
-bins where the level-j dilate of phi lives, exact when those bins carry
-distinct nodes and number at most p^(N+j) (the same Vandermonde count),
-and the lstsq on them otherwise. Level j's rolls split by k step mod p^j
-into mutually orthogonal classes, each the level-0 block of the rolls by
-1 under a phase: so the details of every level, and the level-j0
-coefficients, are a DFT over the level-j bins above each level-0 bin
-followed by one pseudo-inverse of that level-0 block, factored once per
-call. When f lives on a larger ball than phi (step = p^a), the levels
-j < a hold a column subset of that block and take the lstsq on their own
-bins instead. Synthesis multiplies each gathered spectrum by the
-character sum of its coefficients, level by level. No step builds an
-n-row matrix.
+transform. Level j's rolls split by k step mod p^j into mutually
+orthogonal classes, each the level-0 block of the rolls by r under a
+phase, r = 1 when step <= p^j; when f lives on a larger ball than phi
+(step = p^a) a level j < a has one class, on the rolls by p^(a-j). So
+every fit of the transform, the V_j projections, the details of every
+level and the level-j0 coefficients, is a DFT over the level-j bins above
+each level-0 bin followed by one pseudo-inverse of a level-0 block,
+factored once per call and roll stride, with no lstsq. Synthesis
+multiplies each gathered spectrum by the character sum of its
+coefficients, level by level. No step builds an n-row matrix.
 """
 
 from __future__ import annotations
@@ -86,8 +83,6 @@ from ._translates import (
     _chunks,
     _complement,
     _factor,
-    _fit,
-    _project,
     _rank,
     _sup,
     _support_bins,
@@ -96,7 +91,7 @@ from ._translates import (
     _translates,
 )
 from .masks import TrigPolynomial, haar_mask
-from .mra import LSet, _l_set, l_set
+from .mra import LSet, _l_set
 from .test_functions import (
     TestFunction,
     _fourier_values,
@@ -139,7 +134,7 @@ def wavelet_masks(
     guaranteed to produce a wavelet set, though user-supplied masks can
     still be verified downstream.
     """
-    return _window_masks(phi, m0, l_set(phi, tol))
+    return _window_masks(phi, m0, _l_set(phi, fourier(phi).values, tol))
 
 
 def _window_masks(phi: TestFunction, m0: TrigPolynomial, ls: LSet) -> list[TrigPolynomial]:
@@ -609,47 +604,49 @@ def _dilated(spectra: np.ndarray, p: int, j: int) -> np.ndarray:
 
 
 class _Levels:
-    """The level-j rolls by step of some generators, fitted through one level-0 factorization.
+    """The level-j rolls by step of some generators, fitted through level-0 factorizations.
 
     spectra holds the generators' level-0 transforms (one column each, on
-    the working frame), step = p^a, and a level has p^(N+j) rolls. The
-    factorization is made by the first fit that needs it.
+    the working frame), step = p^a, and a level has p^(N+j) rolls. Each
+    roll stride r = max(step / p^j, 1) has one level-0 block, factored by
+    the first fit that needs it.
     """
 
     def __init__(self, spectra: np.ndarray, p: int, N: int, step: int) -> None:
         self.spectra, self.p, self.N, self.step = spectra, p, N, step
-        self._block: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def fit(self, y: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """_fit of the transform y through the level-j rolls, through one level-0 factorization.
+        """Minimum-norm fit of the transform y through the level-j rolls, by one level-0 factorization.
 
-        The level-0 block is the p^N step rolls by 1 of the generators on
-        their support bins, factored once (_factor) by the first level that
-        needs it. Every support bin t is a multiple of size = p^j, and the
-        level-j bins above it are s = (t + q n) / size, q < size. There the
-        roll by k step = c + size m, c < size, is G_j(s) times the twiddle
+        With size = p^j and r = max(step / size, 1), the level-0 block is the
+        p^(N+a) / r rolls by r of the generators on their support bins,
+        factored once (_factor) by the first level that needs it. Every
+        support bin t is a multiple of size, and the level-j bins above it
+        are s = (t + q n) / size, q < size. There the roll by k step =
+        c + size r m, c < size, is G_j(s) times the twiddle
         exp(2 pi i t c / (size n)), omega^(q c) with omega = exp(2 pi i / size),
-        and roll m by 1 at level 0, where G_j(s) = p^(-j/2) G_0(t). So the DFT
+        and roll m by r at level 0, where G_j(s) = p^(-j/2) G_0(t). So the DFT
         over q splits y into size mutually orthogonal classes c: class c, its
         twiddle and scale undone, is fitted through the level-0 block, and
         the classes that are not multiples of step hold no roll and stay
-        misfit. The level's singular values are the block's, each repeated
-        size / step times up to one scale, so both take the same cut. The
-        levels j < a hold a column subset of the block and are fitted by
-        _fit on their own support bins. Returns the coefficients, one row
-        per generator, and the transform of the fit.
+        misfit. When step > size only class 0 holds rolls: each level-0
+        row is repeated size times. The level's singular values are the
+        block's, each repeated max(size / step, 1) times up to one scale, so
+        both take the same cut. Returns the coefficients, one row per
+        generator, and the transform of the fit.
         """
-        p, step = self.p, self.step
-        if step > p**j:
-            return _fit(_dilated(self.spectra, p, j), y, p ** (self.N + j), step)
-        if self._block is None:
-            rows = _support_rows(self.spectra, p**self.N * step)
-            a = _translates(rows.spectra, rows.phases, p**self.N * step)
-            self._block = (rows.bins, *_factor(a, rows.n))
-        bins, u, sv, vh = self._block
-        n, size = y.shape[0], p**j
+        p, step, size = self.p, self.step, self.p**j
+        r = max(step // size, 1)
+        if r not in self._blocks:
+            count = p**self.N * step // r
+            rows = _support_rows(self.spectra, count, r)
+            a = _translates(rows.spectra, rows.phases, count)
+            self._blocks[r] = (rows.bins, *_factor(a, rows.n))
+        bins, u, sv, vh = self._blocks[r]
+        n = y.shape[0]
         s = (bins[None, :] + n * np.arange(size)[:, None]) // size
-        c = step * np.arange(size // step)
+        c = np.arange(0, size, step)
         twiddle = np.exp(2j * np.pi * ((c[:, None] * bins[None, :]) % (size * n)) / (size * n))
         z = np.conj(twiddle) * _inv_fourier_values(y[s], p, 0)[::step] * float(p) ** (-j / 2)
         w = u.conj().T @ z.T
@@ -658,7 +655,7 @@ class _Levels:
         classes[::step] = twiddle * (u @ w).T * float(p) ** (j / 2)
         fit = np.zeros_like(y)
         fit[s] = _fourier_values(classes, p, j)
-        # row (generator, m) of x, column c / step: coefficient c / step + (size / step) m
+        # row (generator, m) of x, column c / step: coefficient c / step + c.size m
         return x.reshape(self.spectra.shape[1], -1), fit
 
 
@@ -675,16 +672,14 @@ def analyze(
     translates; for f in the level-j1 truncated space the round trip with
     synthesize is exact to tolerance. Everything runs on the transform of
     f on the working frame, and every level's spectra are gathered from
-    one level-0 transform of phi and the wavelets (_dilated). A projection
-    is the band on the bins where the level's dilate of phi lives, or the
-    lstsq on them when its translates do not span them. The details, and
-    the level-j0 coefficients, are minimum-norm solves through one SVD of
-    the level-0 block of the wavelets, or of phi, made once per call and
-    shared by every level (_Levels.fit). When f lives on a larger ball than
-    phi, a translate is a roll by step = p^a, and the levels j < a, whose
-    rolls are a column subset of that block, take the lstsq on their own
-    support bins instead. The residuals are space-domain sup norms, read
-    off one inverse transform each.
+    one level-0 transform of phi and the wavelets (_dilated). The
+    projections, the details and the level-j0 coefficients, those of the
+    last projection, are minimum-norm fits through one SVD of a level-0
+    block of phi or of the wavelets per roll stride, made once per call
+    and shared by every level (_Levels.fit); nothing is solved by lstsq.
+    Refuses (PreconditionError) a phi or wavelet that is identically zero.
+    The residuals are space-domain sup norms, read off one inverse
+    transform each.
     """
     if f.prime != ws.prime:
         raise PreconditionError(f"mixed primes {ws.prime} and {f.prime}")
@@ -698,26 +693,29 @@ def analyze(
     step = p ** (frame[0] - N)
     target = _fourier_values(reframe(f, *frame).values, p, frame[1])
     spectra = _frame_spectra([ws.phi, *ws.wavelets], frame)
+    dead = np.flatnonzero(~spectra.any(axis=0))
+    if dead.size:
+        name = "phi" if dead[0] == 0 else f"wavelet {dead[0] - 1}"
+        raise PreconditionError(f"{name} is identically zero: its translates have no support bins")
     phi, wavelets = (_Levels(g, p, N, step) for g in (spectra[:, :1], spectra[:, 1:]))
 
-    y = _project(target, _dilated(spectra[:, :1], p, j1), p ** (N + j1), step)
+    approx, y = phi.fit(target, j1)
     input_residual = _sup(_inv_fourier_values(y - target, p, frame[0]))
 
     details: dict[int, np.ndarray] = {}
     split_residuals: dict[int, float] = {}
     for j in range(j1 - 1, j0 - 1, -1):
-        smooth = _project(y, _dilated(spectra[:, :1], p, j), p ** (N + j), step)
+        # the coefficients of the last projection are the level-j0 ones
+        approx, smooth = phi.fit(y, j)
         residue = y - smooth
         details[j], fit = wavelets.fit(residue, j)
         split_residuals[j] = _sup(_inv_fourier_values(fit - residue, p, frame[0]))
         y = smooth
-    # y lies in the span of the level-j0 translates of phi.
-    approx = phi.fit(y, j0)[0][0]
     return CoefficientTree(
         prime=p,
         j0=j0,
         j1=j1,
-        approx=approx,
+        approx=approx[0],
         details=details,
         input_residual=input_residual,
         split_residuals=split_residuals,

@@ -366,6 +366,16 @@ class TestTransformCommand:
         assert doc["ok"] is True
         assert doc["round_trip_error"] < 1e-8
 
+    def test_zero_wavelet_is_refused(self, tmp_path, capsys):
+        ws = build_wavelet_set(omega(2, 0, 0), haar_mask(2))
+        psi = ws.wavelets[0]
+        zero = WaveletSet(ws.phi, ws.scaling_mask, [TestFunction(2, *psi.frame, np.zeros(psi.n))], ws.masks)
+        (tmp_path / "ws.json").write_text(json.dumps(serialize.wavelet_set_to_json(zero)))
+        (tmp_path / "f.json").write_text(json.dumps(serialize.function_to_json(omega(2, 0, 2))))
+        code = main(["transform", "--f", str(tmp_path / "f.json"), "--ws", str(tmp_path / "ws.json")])
+        assert code == 2
+        assert "error: wavelet 0 is identically zero" in capsys.readouterr().err
+
 
 class TestKozyrevCommand:
     @pytest.mark.parametrize("p", ["2", "3", "5"])

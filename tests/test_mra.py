@@ -152,6 +152,12 @@ class TestCheckMra:
         # its refined pieces sit at 0 and 1/2, but B_{-1} splits at 0 and 2
         assert not report.refinable
         assert not report.criterion_ok
+        # l_set and check_orthonormal_shifts lift the frame the same way
+        assert l_set(f) == report.lset
+        ortho = vars(check_orthonormal_shifts(f))
+        assert ortho.keys() == vars(report.orthonormality).keys()
+        for key, value in vars(report.orthonormality).items():
+            assert np.array_equal(ortho[key], value), key
 
     def test_zero_mean_rejected(self):
         f = TestFunction(2, 0, 1, np.array([1.0, -1.0], dtype=np.complex128))

@@ -122,6 +122,9 @@ class TestWaveletMasks:
     def test_rejects_scale_mismatch(self, quartic_phi):
         with pytest.raises(PreconditionError):
             wavelet_masks(quartic_phi, haar_mask(2))
+        # unlike l_set, the mask construction does not lift a frame (1, -1)
+        with pytest.raises(PreconditionError, match="re-frame first"):
+            wavelet_masks(dilate(refinable_from_mask(haar_mask(2), 0), 1), haar_mask(2))
 
 
 class TestWaveletFunctions:
@@ -959,7 +962,7 @@ class TestTransform:
             j1s = range(3)
         else:
             # f lives on a larger ball than phi: the level translates do not
-            # span the support bins, so the projections take the lstsq
+            # span the support bins, and the levels j < a roll by r = p^(a-j)
             ws, extra = build_wavelet_set(refinable_from_mask(haar_mask(2), 0), haar_mask(2)), 1
         for j1 in j1s:
             for j0 in range(j1 + 1):
@@ -970,56 +973,55 @@ class TestTransform:
     @pytest.mark.parametrize("case, extra", [("haar2", 2), ("haar3", 1), ("haar3", 2), ("quartic_ws", 1)])
     def test_larger_balls_match_dense_oracle(self, case, extra, request, rng):
         # step = p^a: the levels j >= a go through the block of p^(N+a)
-        # rolls by 1, the levels j < a through _fit
+        # rolls by 1, each level j < a through that of the p^(N+j) rolls by p^(a-j)
         ws = request.getfixturevalue(case)
         for j1 in range(4 if ws.prime == 2 else 3):
             for j0 in range(j1 + 1):
                 _assert_matches_dense_oracle(ws, _transform_input(ws, rng, extra, j1, False), j0, j1)
 
-    @pytest.mark.parametrize("case", ["haar2", "quartic_ws", "wide"])
+    @pytest.mark.parametrize("case", ["haar2", "quartic_ws", "wide", "wide-2"])
     def test_lstsq_sees_only_support_bins(self, case, request, rng, monkeypatch):
-        # the details and the level-j0 coefficients go through one SVD of
-        # each level-0 block; lstsq is left to the levels j < a and to the
-        # projections, when f lives on a larger ball than phi (step p^a)
-        ws = request.getfixturevalue("haar2" if case == "wide" else case)
-        j1 = 4
-        f = _transform_input(ws, rng, int(case == "wide"), j1, False)
+        # analyze calls no lstsq: the projections, the details and the
+        # level-j0 coefficients go through one SVD per generator set and
+        # roll stride r = max(p^a / p^j, 1), each of a level-0 block on
+        # the level-0 support bins; f lives on a ball p^a wider than phi
+        extra = {"wide": 1, "wide-2": 2}.get(case, 0)
+        ws = request.getfixturevalue("haar2" if extra else case)
+        p, N, j1 = ws.prime, ws.support_exp, 4
+        f = _transform_input(ws, rng, extra, j1, False)
         frame = (f.support_exp, f.period_exp)
         n = f.n
 
-        def bins(funcs, j):
-            cols = [fourier(reframe(dilate(g, -j, normalized=True), *frame)).values for g in funcs]
+        def bins(funcs):
+            cols = [fourier(reframe(g, *frame)).values for g in funcs]
             return _support_bins(np.column_stack(cols)).size
 
-        allowed = {bins(funcs, j) for j in range(j1 + 1) for funcs in ([ws.phi], ws.wavelets)}
-        solves, factored, cuts = [], [], []
-        real_lstsq, real_factor, real_rcond = np.linalg.lstsq, wavelets._factor, _translates._rcond
+        factored, cuts = [], []
+        real_factor, real_rcond = wavelets._factor, _translates._rcond
 
         def lstsq_spy(a, b, rcond=None):
-            solves.append(a.shape[0])
-            return real_lstsq(a, b, rcond=rcond)
+            raise AssertionError("analyze called lstsq")
 
         def factor_spy(a, n):
-            factored.append(a.shape[0])
+            factored.append(a.shape)
             return real_factor(a, n)
 
         def rcond_spy(n, columns):
             cuts.append(real_rcond(n, columns))
             return cuts[-1]
 
-        monkeypatch.setattr(wavelets.np.linalg, "lstsq", lstsq_spy)
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq_spy)
         monkeypatch.setattr(wavelets, "_factor", factor_spy)
         monkeypatch.setattr(_translates, "_rcond", rcond_spy)
         analyze(f, ws, j0=0, j1=j1)
-        if case == "wide":
-            # a = 1: the projections of levels j1..0, the details of level 0
-            # and the level-0 coefficients; the wavelet block serves j >= 1
-            assert len(solves) == j1 + 3
-            assert factored == [bins(ws.wavelets, 0)]
-        else:
-            assert not solves
-            assert factored == [bins(ws.wavelets, 0), bins([ws.phi], 0)]
-        assert all(rows in allowed and rows < n for rows in solves), (solves, allowed, n)
+        # phi's block first (the input projection), then the wavelets', for
+        # r = 1 and then for each r = p^i the levels j < a need
+        want = [
+            (bins(funcs), len(funcs) * p ** (N + extra - i))
+            for i in range(extra + 1)
+            for funcs in ([ws.phi], ws.wavelets)
+        ]
+        assert factored == want
         # the rank cut is no lower than the one lstsq takes on all n grid rows
         assert cuts and all(c >= np.finfo(float).eps * n for c in cuts)
 
@@ -1061,26 +1063,28 @@ class TestTransform:
 
     @pytest.mark.parametrize("p, j1", [(2, 12), (3, 7)])
     def test_round_trip_reach(self, p, j1, rng):
-        # n = 8192 and 6561; the input is the library's synthesis of a
-        # random tree, and Haar's blocks have full column rank, so the
+        # n = 8192 and 6561, and p times that for an input one ball wider
+        # than phi (a = 1); the input is the library's synthesis of a random
+        # tree, and Haar's blocks have full column rank, so the
         # minimum-norm coefficients are the tree's own
         ws = build_wavelet_set(refinable_from_mask(haar_mask(p), 0), haar_mask(p))
-        frame = (0, 1 + j1)
 
         def coeffs(*shape):
             return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-        tree = CoefficientTree(
-            p, 0, j1, coeffs(1), {j: coeffs(ws.r, p**j) for j in range(j1)}, 0.0, {}, frame, ws.tol
-        )
-        f = synthesize(tree, ws)
-        got = analyze(f, ws, j0=0, j1=j1)
-        assert got.input_residual < 1e-9
-        assert max(got.split_residuals.values()) < 1e-9
-        assert allclose(f, synthesize(got, ws), tol=1e-9)
-        assert np.allclose(got.approx, tree.approx, atol=1e-9)
-        for j in range(j1):
-            assert np.allclose(got.details[j], tree.details[j], atol=1e-9)
+        for extra in (0, 1):
+            frame = (extra, 1 + j1)
+            tree = CoefficientTree(
+                p, 0, j1, coeffs(1), {j: coeffs(ws.r, p**j) for j in range(j1)}, 0.0, {}, frame, ws.tol
+            )
+            f = synthesize(tree, ws)
+            got = analyze(f, ws, j0=0, j1=j1)
+            assert got.input_residual < 1e-9
+            assert max(got.split_residuals.values()) < 1e-9
+            assert allclose(f, synthesize(got, ws), tol=1e-9)
+            assert np.allclose(got.approx, tree.approx, atol=1e-9)
+            for j in range(j1):
+                assert np.allclose(got.details[j], tree.details[j], atol=1e-9)
 
     def test_round_trip_haar_j1_10(self, haar2, rng):
         # n = 2048: dense level solves took about 2 s here
@@ -1089,6 +1093,20 @@ class TestTransform:
         assert tree.input_residual < 1e-9
         assert max(tree.split_residuals.values()) < 1e-9
         assert allclose(f, synthesize(tree, haar2), tol=1e-9)
+
+    @pytest.mark.parametrize("zero", ["phi", "wavelet 1"])
+    def test_refuses_an_identically_zero_generator(self, haar3, rng, zero):
+        def zeroed(g):
+            return TestFunction(g.prime, *g.frame, np.zeros(g.n))
+
+        if zero == "phi":
+            ws = WaveletSet(zeroed(haar3.phi), haar3.scaling_mask, haar3.wavelets, haar3.masks)
+        else:
+            psis = [haar3.wavelets[0], zeroed(haar3.wavelets[1])]
+            ws = WaveletSet(haar3.phi, haar3.scaling_mask, psis, haar3.masks)
+        f = random_function(rng, 3, 0, 3)
+        with pytest.raises(PreconditionError, match=f"{zero} is identically zero"):
+            analyze(f, ws, j0=0, j1=2)
 
     def test_rejects_bad_level_order(self, haar2, rng):
         f = random_function(rng, 2, 1, 1)
