@@ -2,8 +2,10 @@
 
 Complex numbers are [re, im] pairs, rationals are {"num", "exp"} against
 the ambient prime, functions carry their frame and value vector. Dumping
-is canonical (sorted keys, fixed indentation), and load(dump(x)) == x holds
-bit for bit because Python float repr round-trips exactly.
+is canonical (sorted keys, compact separators, no indentation, so json's C
+encoder runs), and load(dump(x)) == x holds bit for bit because Python
+float repr round-trips exactly. A vector's pairs are its float view, and a
+list that is not [re, im] pairs is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -38,20 +40,21 @@ __all__ = [
 
 
 def dumps_canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-
-
-def _pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _pairs(vec: np.ndarray) -> list[list[float]]:
-    return [_pair(z) for z in np.asarray(vec, dtype=np.complex128)]
+    return np.ascontiguousarray(vec, dtype=np.complex128).view(np.float64).reshape(-1, 2).tolist()
 
 
 def _unpairs(data: list[list[float]]) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+    try:
+        pairs = np.array(data, dtype=np.float64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"an array of shape {pairs.shape}")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"complex values must be [re, im] pairs, not {exc}") from None
+    return pairs.view(np.complex128).reshape(-1)
 
 
 def rational_to_json(x: PadicRational) -> dict:
@@ -164,7 +167,7 @@ def mra_report_to_json(r: MraReport) -> dict:
         "N": r.support_exp,
         "M": r.period_exp,
         "tol": r.tol,
-        "mean_value": _pair(r.mean_value),
+        "mean_value": _pairs([r.mean_value])[0],
         "refinable": r.refinable,
         "refine_residual": r.refine_residual,
         "lset": lset_to_json(r.lset),

@@ -31,9 +31,12 @@ B_M, and that of phi(x/p), p^-1 phi-hat(p xi), is them tiled p times over
 p. Construction checks orthogonality to V_0 before anything is returned;
 by Plancherel the inner products are the inverse transform of
 Phi0 conj(Psi), which lives on the bins p l, so they are one inverse
-transform on phi's own grid of its p-strided bins. So a build transforms
-phi once and, per wavelet, evaluates the mask by one transform, makes
-one inverse transform on the refined grid and one on phi's. Every
+transform on phi's own grid of its p-strided bins. As n_nu =
+z^((nu-1) p^N) n_1, psi_nu is psi_1 rolled by (nu-1) p^N, so a build
+makes 3 refined-grid transforms whatever r (B's coefficients, n_1's grid,
+psi_1) and 2 on phi's grid (phi, psi_1's correlation). wavelet_functions
+transforms masks of any form: per mask, its grid and one inverse
+transform on the refined grid and one on phi's. Every
 wavelet residual is relative to the scale of what it compares: a verdict
 must not change when a wavelet is multiplied by a constant, and the
 expanded taps of a supplied mask can be of any size.
@@ -45,12 +48,12 @@ Gram are computed on the support rows of _translates, the bins where
 phi(x/p), phi or some wavelet lives: p #L of them for a valid set. The
 inclusion test solves for no target: one SVD of the span gives the d
 directions it cannot reach, and the misfit of every target is its
-component along them, zero when d = 0. The wavelets' one batched
-transform and phi's own give those bins, the V_0 residual and the
-factorization residual, which checks each given wavelet against its
-mask; so verify_wavelet_set and frame_bounds transform each wavelet once
-on the refined grid and phi once on its own, besides the mask grids
-(cached on each mask, so a set that was just built has them).
+component along them, zero when d = 0. verify_wavelet_set and
+frame_bounds trust nothing from the build: they transform the given
+wavelets in place in one column-contiguous buffer (_spectra), r
+transforms on the refined grid and phi's one on its own, besides the
+mask grids (cached on each mask, so a set that was just built has them),
+and read every residual and support bin off it.
 
 The multilevel transform runs on support rows too, and reads every level
 off one level-0 transform. A translate by k/p^(N+j) before the dilation
@@ -83,9 +86,9 @@ from ._translates import (
     _chunks,
     _complement,
     _factor,
+    _live,
     _rank,
     _sup,
-    _support_bins,
     _support_rows,
     _translate_sum,
     _translates,
@@ -138,7 +141,10 @@ def wavelet_masks(
 
 
 def _window_masks(phi: TestFunction, m0: TrigPolynomial, ls: LSet) -> list[TrigPolynomial]:
-    """wavelet_masks given phi's L set."""
+    """wavelet_masks given phi's L set; both refusals come before any grid is allocated.
+
+    Each mask's depth-(N+M+1) grid is cached: n_nu's is n_1's times z^((nu-1) p^N), gathered from z.
+    """
     N, M = phi.frame
     p = phi.prime
     if m0.scale != N:
@@ -162,11 +168,16 @@ def _window_masks(phi: TestFunction, m0: TrigPolynomial, ls: LSet) -> list[TrigP
     values = np.ones(n, dtype=np.complex128)
     for l in ls.members:
         values *= z - z[p * l]
-    base = _inv_fourier_values(values, p, N + M + 1)[: ls.size + 1]
+    base = _inv_fourier_values(values, p, N + M + 1)[: ls.size + 1].copy()
+    del values
     masks = []
     for nu in range(1, p):
         coeffs = np.concatenate([np.zeros((nu - 1) * p**N, dtype=np.complex128), base])
         masks.append(TrigPolynomial(p, coeffs, scale=N))
+    first = masks[0].values_on_depth_grid(N + M + 1)
+    for nu, mk in enumerate(masks[1:], start=1):
+        mk._grid_cache[N + M + 1] = grid = first * z[(np.arange(n) * (nu * p**N)) % n]
+        grid.setflags(write=False)
     return masks
 
 
@@ -179,47 +190,32 @@ def _factorized(hat: np.ndarray, mask: TrigPolynomial, p: int, N: int, M: int) -
     return mask.values_on_depth_grid(N + M + 1) * np.tile(hat, p)
 
 
-def _v0_residual(hat: np.ndarray, spec: np.ndarray, p: int, N: int) -> float:
-    """max |<phi(.-a), psi(.-b)>| over a, b in I_p, from hat = fourier(phi).values and Psi.
+def _v0_residuals(hat: np.ndarray, spec: np.ndarray, p: int, N: int, shifts: int = 1) -> np.ndarray:
+    """max |<phi(.-a), psi(.-b-s)>| over a, b in I_p, per integer s < shifts (rows) and column Psi of spec.
 
     Translates more than p^N apart have disjoint supports, so only the
     difference classes d/p^N with |d| < p^N need computing. By Plancherel
     <phi, psi(. - d/p^N)> is entry d of the inverse transform of
     Phi0 conj(Psi) on the frame (N, M+1). Phi0 is zero off the bins p l,
     so that transform repeats with period p^(N+M): it is the inverse
-    transform of hat conj(Psi(p l)) on phi's own grid, read at d mod
-    p^(N+M). At M = 0 the classes wrap onto that period.
+    transform of hat conj(Psi(p l)) on phi's own grid, one batch for all
+    columns, read at d mod p^(N+M); psi(. - s) reads it at d + s p^N. At
+    M = 0 the classes wrap onto that period.
     """
-    corr = _inv_fourier_values(hat * np.conj(spec[::p]), p, N)
-    d = np.arange(-(p**N) + 1, p**N)
-    return float(np.max(np.abs(corr[d % hat.shape[0]])))
+    corr = np.conj(spec[::p])
+    corr *= hat[:, None]
+    corr = np.abs(_inv_fourier_values(corr, p, N, out=corr))
+    d = np.arange(-(p**N) + 1, p**N) + p**N * np.arange(shifts)[:, None]
+    return corr[d % hat.shape[0]].max(axis=1)
 
 
 def _relative(residual: float, scale: float) -> float:
     return residual / scale if scale > 0 else residual
 
 
-def _wavelet_residuals(
-    phi: TestFunction,
-    hat: np.ndarray,
-    mask: TrigPolynomial,
-    psi: TestFunction,
-    spec: np.ndarray,
-) -> tuple[float, float]:
-    """Scale-free (factorization, V_0-orthogonality) residuals of one wavelet.
-
-    hat is phi's transform on its own grid and spec Psi, psi's on the
-    frame (N, M+1). The factorization residual is relative to
-    max |n(xi/p^N) phi-hat(p xi)| and the orthogonality residual to
-    ||phi|| ||psi||, the Cauchy-Schwarz bound of every inner product it
-    scans.
-    """
-    N, M = phi.frame
-    p = phi.prime
-    expected = _factorized(hat, mask, p, N, M)
-    fact = _relative(_sup(spec - expected), _sup(expected))
-    orth = _relative(_v0_residual(hat, spec, p, N), norm_l2(phi) * norm_l2(psi))
-    return fact, orth
+def _refuse_unorthogonal(i: int, residual: float, tol: float) -> None:
+    if residual > tol:
+        raise VerificationError(f"mask {i}: wavelet is not orthogonal to V_0 (residual {residual:.3e})")
 
 
 def wavelet_functions(
@@ -236,15 +232,8 @@ def wavelet_functions(
     not orthogonal to V_0.
     """
     check_limits(phi.prime, phi.support_exp + phi.period_exp + 1, tol)
-    return _wavelet_functions(phi, masks, tol, fourier(phi).values)
-
-
-def _wavelet_functions(
-    phi: TestFunction, masks: list[TrigPolynomial], tol: float, hat: np.ndarray
-) -> list[TestFunction]:
-    """wavelet_functions given hat = fourier(phi).values."""
-    N, M = phi.frame
-    p = phi.prime
+    (N, M), p = phi.frame, phi.prime
+    hat = fourier(phi).values
     out = []
     for i, mk in enumerate(masks):
         if mk.prime != p:
@@ -255,12 +244,8 @@ def _wavelet_functions(
             )
         spec = _factorized(hat, mk, p, N, M)
         psi = TestFunction(p, N, M + 1, _inv_fourier_values(spec, p, N))
-        orth_res = _relative(_v0_residual(hat, spec, p, N), norm_l2(phi) * norm_l2(psi))
-        if orth_res > tol:
-            raise VerificationError(
-                f"mask {i}: wavelet is not orthogonal to V_0 "
-                f"(residual {orth_res:.3e})"
-            )
+        orth = _v0_residuals(hat, spec[:, None], p, N)[0, 0]
+        _refuse_unorthogonal(i, _relative(float(orth), norm_l2(phi) * norm_l2(psi)), tol)
         out.append(psi)
     return out
 
@@ -329,8 +314,13 @@ def build_wavelet_set(
     m0: TrigPolynomial,
     tol: float = DEFAULT_TOL,
 ) -> WaveletSet:
-    """Wavelet masks and verified wavelets for phi, on the frame (N, M+1)."""
-    check_limits(phi.prime, phi.support_exp + phi.period_exp + 1, tol)
+    """Wavelet masks and verified wavelets for phi, on the frame (N, M+1).
+
+    psi_nu is psi_1 rolled by (nu-1) p^N, and psi_1's one correlation with
+    phi, read at every shift, checks them all against V_0.
+    """
+    (N, M), p = phi.frame, phi.prime
+    check_limits(p, N + M + 1, tol)
     hat = fourier(phi).values
     try:
         masks = _window_masks(phi, m0, _l_set(phi, hat, tol))
@@ -339,7 +329,13 @@ def build_wavelet_set(
         # caller keeps the exception; it need not keep the spectrum too.
         del hat
         raise
-    psis = _wavelet_functions(phi, masks, tol, hat)
+    spec = _factorized(hat, masks[0], p, N, M)
+    first = TestFunction(p, N, M + 1, _inv_fourier_values(spec, p, N))
+    bound = norm_l2(phi) * norm_l2(first)
+    for i, orth in enumerate(_v0_residuals(hat, spec[:, None], p, N, len(masks))[:, 0]):
+        _refuse_unorthogonal(i, _relative(float(orth), bound), tol)
+    del spec
+    psis = [first] + [TestFunction(p, N, M + 1, np.roll(first.values, i * p**N)) for i in range(1, len(masks))]
     return WaveletSet(phi, m0, psis, masks, tol)
 
 
@@ -386,18 +382,19 @@ class WaveletVerification:
 def _spectra(ws: WaveletSet) -> np.ndarray:
     """Transforms on the frame (N, M+1) of phi, each wavelet and phi(x/p), one column each.
 
-    The wavelets are one batched transform; phi's two columns are Phi0 and
-    p^-1 phi-hat(p xi), from phi's own transform. For a valid set their
-    joint support is that of phi(x/p): p #L bins.
+    Column-contiguous (Fortran order); the wavelets are one batched transform
+    in place. phi's two columns are Phi0 and p^-1 phi-hat(p xi), from phi's
+    own transform placed every p bins and tiled p times. For a valid set
+    their joint support is that of phi(x/p): p #L bins.
     """
     p = ws.prime
     hat = fourier(ws.phi).values
-    out = np.zeros((p * hat.shape[0], ws.r + 2), dtype=np.complex128)
+    out = np.zeros((p * hat.shape[0], ws.r + 2), dtype=np.complex128, order="F")
     out[::p, 0] = hat
     for i, psi in enumerate(ws.wavelets):
         out[:, 1 + i] = psi.values
-    out[:, 1:-1] = _fourier_values(out[:, 1:-1], p, ws.period_exp + 1)
-    out[:, -1] = np.tile(hat, p) / p
+    _fourier_values(out[:, 1:-1], p, ws.period_exp + 1, out=out[:, 1:-1])
+    out[:, -1].reshape(p, -1)[:] = hat / p
     return out
 
 
@@ -428,21 +425,33 @@ def _inclusion(ws: WaveletSet, rows: _SupportRows, target_bins: int) -> tuple[fl
 def _verify(ws: WaveletSet, tol: float) -> tuple[WaveletVerification, _SupportRows]:
     """verify_wavelet_set, with the support rows that frame_bounds reuses.
 
-    The full spectra are dropped once the per-wavelet residuals are read,
-    before the inclusion test transforms its misfit basis.
+    One |spectra| pass gives the support bins of the rows and of phi(x/p),
+    whose column, times p and each mask's grid, is what phi's and each
+    wavelet's should be. The V_0 residuals, relative to ||phi|| ||psi||, are
+    one batched inverse transform. The full spectra are dropped before the
+    inclusion test transforms its misfit basis.
     """
     p, N, M = ws.prime, ws.support_exp, ws.period_exp
     spectra = _spectra(ws)
-    rows = _support_rows(spectra, p ** (N + 1))
-    target_bins = _support_bins(spectra[:, -1:]).size
-    hat = spectra[::p, 0]
-    refinement = _relative(_sup(spectra[:, 0] - _factorized(hat, ws.scaling_mask, p, N, M)), _sup(hat))
-    v0 = 0.0
-    fact = 0.0
-    for i, (mk, psi) in enumerate(zip(ws.masks, ws.wavelets)):
-        f, o = _wavelet_residuals(ws.phi, hat, mk, psi, spectra[:, 1 + i])
-        fact, v0 = max(fact, f), max(v0, o)
-    del hat, spectra
+    live = _live(spectra)
+    rows = _support_rows(spectra, p ** (N + 1), bins=np.flatnonzero(live.any(axis=1)))
+    target_bins = int(np.count_nonzero(live[:, -1]))
+    hat, tiled = spectra[::p, 0], spectra[:, -1]
+    expected = np.empty_like(tiled)
+    misfits = []
+    for col, mk in enumerate([ws.scaling_mask, *ws.masks]):
+        np.multiply(mk.values_on_depth_grid(N + M + 1), tiled, out=expected)
+        expected *= p
+        scale = _sup(expected)
+        expected -= spectra[:, col]
+        misfits.append((_sup(expected), scale))
+    refinement = _relative(misfits[0][0], _sup(hat))
+    fact = max((_relative(*m) for m in misfits[1:]), default=0.0)
+    del expected
+    norm = norm_l2(ws.phi)
+    v0s = _v0_residuals(hat, spectra[:, 1:-1], p, N)[0]
+    v0 = max((_relative(float(o), norm * norm_l2(psi)) for o, psi in zip(v0s, ws.wavelets)), default=0.0)
+    del live, hat, tiled, spectra
     inclusion, count = _inclusion(ws, rows, target_bins)
     return WaveletVerification(tol, refinement, v0, fact, inclusion, count), rows
 
@@ -542,7 +551,7 @@ def kozyrev_set(p: int, tol: float = DEFAULT_TOL) -> WaveletSet:
         )
         for nu in range(1, p)
     ]
-    psis = _wavelet_functions(phi, masks, tol, fourier(phi).values)
+    psis = wavelet_functions(phi, masks, tol)
     ws = WaveletSet(phi, haar_mask(p), psis, masks, tol)
     report = frame_bounds(ws, tol)
     spread = _sup(report.spectrum - 1.0)

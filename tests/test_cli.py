@@ -105,6 +105,14 @@ class TestInputFiles:
         assert main(args) == 2
         assert "exceeds the supported maximum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "values", [[[1.0, 0.0, 0.0]], [[1.0]], [["a", 0.0]], [[{"re": 1.0}, 0.0]], [1.0], [[[1.0, 0.0]]]]
+    )
+    def test_malformed_pairs_are_refused(self, tmp_path, capsys, values):
+        (tmp_path / "phi.json").write_text(json.dumps({"p": 2, "N": 0, "M": 0, "values": values}))
+        assert main(["check", "--phi", str(tmp_path / "phi.json")]) == 2
+        assert "[re, im] pairs" in capsys.readouterr().err
+
     def test_wavelet_without_mask_is_refused(self, tmp_path, capsys):
         main(["haar", "--p", "3", "--out", str(tmp_path / "haar.json")])
         doc = json.loads((tmp_path / "haar.json").read_text())["wavelet_set"]

@@ -64,8 +64,7 @@ from padic_mra.wavelets import (
     _dilated,
     _frame_spectra,
     _spectra,
-    _v0_residual,
-    _wavelet_residuals,
+    _v0_residuals,
     wavelet_functions,
 )
 from padic_mra.padic_core import PadicRational
@@ -118,6 +117,27 @@ class TestWaveletMasks:
         wide = TrigPolynomial.from_taps(2, np.array([1.0, 0.5, 0.5]), scale=0)
         with pytest.raises(UnsupportedConfigurationError):
             wavelet_masks(phi, wide)
+
+    @pytest.mark.parametrize("refusal", ["degree", "lset"])
+    def test_refusal_traceback_holds_no_grid(self, refusal):
+        # a caller that keeps the refusal keeps its traceback's frames: both
+        # refusals come before any refined-grid array, and the build drops phi-hat
+        if refusal == "degree":
+            phi = refinable_from_mask(haar_mask(5), 4)
+            m0 = TrigPolynomial.from_taps(5, np.full(6, 5 / 6), scale=0)
+        else:
+            roots = [PadicRational(2, 1, 2), PadicRational(2, 3, 3), PadicRational(2, 7, 3)]
+            m0 = mask_from_roots(2, 1, roots)
+            phi = refinable_from_mask(m0, 6)
+        with pytest.raises(UnsupportedConfigurationError) as info:
+            build_wavelet_set(phi, m0)
+        tb = info.value.__traceback__
+        assert tb.tb_next is not None
+        while tb is not None:
+            for name, value in tb.tb_frame.f_locals.items():
+                if isinstance(value, np.ndarray):
+                    assert value.size < phi.n, (tb.tb_frame.f_code.co_name, name, value.size)
+            tb = tb.tb_next
 
     def test_rejects_scale_mismatch(self, quartic_phi):
         with pytest.raises(PreconditionError):
@@ -228,13 +248,16 @@ class TestWaveletFunctions:
     )
     def test_strided_v0_residual_matches_brute_force(self, p, N, M, rng):
         # any phi in D_N^M has Phi0 zero off the bins p l; at M = 0 the
-        # difference classes |d| < p^N wrap around phi's own grid
+        # difference classes |d| < p^N wrap around phi's own grid. Row s
+        # reads psi(. - s), psi rolled by s p^N, off the same correlation.
         for _ in range(4):
             phi = random_function(rng, p, N, M)
             psi = random_function(rng, p, N, M + 1)
-            want = oracle_v0_residual(phi, psi)
-            got = _v0_residual(fourier(phi).values, fourier(psi).values, p, N)
+            want = [oracle_v0_residual(phi, TestFunction(p, N, M + 1, np.roll(psi.values, s * p**N)))
+                    for s in range(p)]
+            got = _v0_residuals(fourier(phi).values, fourier(psi).values[:, None], p, N, p)[:, 0]
             assert got == pytest.approx(want, rel=1e-12)
+            assert _v0_residual(fourier(phi).values, fourier(psi).values, p, N) == pytest.approx(want[0], rel=1e-12)
 
     @pytest.mark.parametrize(
         "case", ["haar-3", "haar-5", "haar-7", "covering-3-2", "covering-5-1", "covering-7-1"]
@@ -249,6 +272,23 @@ class TestWaveletFunctions:
                 shifted = np.roll(first, (nu - 1) * ws.prime**ws.support_exp)
                 assert np.max(np.abs(psi.values - shifted)) <= 1e-13 * np.max(np.abs(first))
 
+    @pytest.mark.parametrize(
+        "case", ["haar-3", "haar-5", "haar-7", "covering-3-2", "covering-5-1", "covering-7-1"]
+    )
+    def test_built_grids_and_wavelets_match_fresh_ones(self, case, quartic_mask):
+        # the build transforms only psi_1 and n_1: every other mask's cached grid
+        # and every other wavelet must equal what their own coefficients give
+        sets = _oracle_sets(case, quartic_mask)
+        assert sets
+        for ws in sets:
+            t = ws.support_exp + ws.period_exp + 1
+            fresh = [TrigPolynomial(ws.prime, mk.coeffs, mk.scale) for mk in ws.masks]
+            for mk, new in zip(ws.masks, fresh):
+                want = new.values_on_depth_grid(t)
+                assert np.max(np.abs(mk.values_on_depth_grid(t) - want)) <= 1e-13 * np.max(np.abs(want))
+            for psi, want in zip(ws.wavelets, wavelet_functions(ws.phi, fresh)):
+                assert np.max(np.abs(psi.values - want.values)) <= 1e-13 * np.max(np.abs(want.values))
+
     def test_fft_v0_residual_matches_brute_force(self, quartic_ws, haar3, rng):
         for ws in (quartic_ws, haar3):
             p, N, M = ws.prime, ws.support_exp, ws.period_exp
@@ -262,6 +302,10 @@ class TestWaveletFunctions:
                 assert want > 1e-3
                 got = _v0_residual(hat, fourier(psi).values, p, N)
                 assert got == pytest.approx(want, rel=1e-12)
+
+
+def _v0_residual(hat, spec, p, N):
+    return float(_v0_residuals(hat, spec[:, None], p, N)[0, 0])
 
 
 def _assert_residual_matches(got, want):
@@ -285,28 +329,33 @@ def _oracle_sets(case, quartic_mask):
     return _covering_sets(p, N, seed=100 * p + N, draws=4)
 
 
+def _one_wavelet_residuals(ws, mk, psi):
+    """verify_wavelet_set's (factorization, V_0) residuals of the set of psi alone."""
+    rep = verify_wavelet_set(WaveletSet(ws.phi, ws.scaling_mask, [psi], [mk], ws.tol))
+    return rep.factorization_residual, rep.v0_residual
+
+
 class TestSharedSpectra:
     """Wavelet residuals read off shared transforms against per-wavelet ones."""
 
     @pytest.mark.parametrize(
         "case",
-        ["quartic-1", "quartic-3", "quartic-5", "haar-2", "haar-3", "haar-5",
-         "kozyrev-2", "kozyrev-3", "kozyrev-5",
+        ["quartic-1", "quartic-3", "quartic-5", "haar-2", "haar-3", "haar-5", "haar-7",
+         "kozyrev-2", "kozyrev-3", "kozyrev-5", "kozyrev-7",
          "covering-2-3", "covering-2-4", "covering-2-5", "covering-2-6",
-         "covering-3-2", "covering-3-3", "covering-5-1", "covering-5-2"],
+         "covering-3-2", "covering-3-3", "covering-5-1", "covering-5-2", "covering-7-1"],
     )
     def test_residuals_match_per_wavelet_oracle(self, case, quartic_mask):
         sets = _oracle_sets(case, quartic_mask)
         assert sets
         for ws in sets:
-            hat = fourier(ws.phi).values
             pairs = list(zip(ws.masks, ws.wavelets))
             want = [oracle_wavelet_residuals(ws.phi, mk, psi) for mk, psi in pairs]
             for (mk, psi), (fact, orth) in zip(pairs, want):
-                got = _wavelet_residuals(ws.phi, hat, mk, psi, fourier(psi).values)
+                got = _one_wavelet_residuals(ws, mk, psi)
                 _assert_residual_matches(got[0], fact)
                 _assert_residual_matches(got[1], orth)
-            # verify_wavelet_set reads the same residuals off its batched transform
+            # the whole set reads the same residuals off one batched transform
             rep = verify_wavelet_set(ws)
             _assert_residual_matches(rep.factorization_residual, max(f for f, _ in want))
             _assert_residual_matches(rep.v0_residual, max(o for _, o in want))
@@ -327,21 +376,18 @@ class TestSharedSpectra:
     @pytest.mark.parametrize("c", [1e-9, 1e-6, 1.0, 1e6, 1e9])
     def test_scaled_and_broken_masks_match_oracle(self, quartic_phi, quartic_mask, c):
         good = wavelet_masks(quartic_phi, quartic_mask)[0].coeffs
-        hat = fourier(quartic_phi).values
+        ws = WaveletSet(quartic_phi, quartic_mask, [], [])
         for coeffs in (c * good, c * (good * 1.01 + 0.01)):
             mk = TrigPolynomial(2, coeffs, scale=2)
             psi = oracle_tap_sum(quartic_phi, mk)
-            got = _wavelet_residuals(quartic_phi, hat, mk, psi, fourier(psi).values)
+            got = _one_wavelet_residuals(ws, mk, psi)
             want = oracle_wavelet_residuals(quartic_phi, mk, psi)
             _assert_residual_matches(got[0], want[0])
             _assert_residual_matches(got[1], want[1])
 
-    @pytest.mark.parametrize("case", ["haar5", "quartic"])
+    @pytest.mark.parametrize("case", ["haar5", "haar7", "quartic"])
     def test_each_generator_is_transformed_once(self, case, quartic_mask, transform_lengths):
-        if case == "haar5":
-            m0, M = haar_mask(5), 2
-        else:
-            m0, M = quartic_mask, 3
+        m0, M = {"haar5": (haar_mask(5), 2), "haar7": (haar_mask(7), 2), "quartic": (quartic_mask, 3)}[case]
         phi = refinable_from_mask(m0, M)
         masks = wavelet_masks(phi, m0)
         ws = build_wavelet_set(phi, m0)
@@ -358,13 +404,16 @@ class TestSharedSpectra:
             return transform_lengths.count(refined)
 
         # phi, phi(x/p) and every V_0 product are read on phi's own grid. Per
-        # wavelet: its mask's grid and its inverse transform; once: B's coefficients.
+        # mask: its grid and its wavelet's inverse transform.
         assert transforms(lambda: wavelet_functions(phi, masks)) <= 2 * r
-        assert transforms(lambda: build_wavelet_set(phi, m0)) <= 1 + 2 * r
+        # the build transforms only psi_1: B's coefficients, n_1's grid and
+        # psi_1, whatever r; on phi's grid, phi and psi_1's one correlation
+        assert transforms(lambda: build_wavelet_set(phi, m0)) <= 3
+        assert len(transform_lengths) - transform_lengths.count(refined) <= 2
         # the inclusion test transforms its d misfit directions, none for a valid set
         assert frame_bounds(ws).inclusion_count.deficiency == 0
         # the build cached each mask's grid, so only the wavelets are transformed
-        assert transforms(lambda: frame_bounds(ws)) <= r
+        assert transforms(lambda: frame_bounds(ws)) == r
         assert transforms(lambda: check_mra(phi)) == 0
         assert len(transform_lengths) <= 3
 
