@@ -67,30 +67,23 @@ class _SupportRows(NamedTuple):
 _SUPPORT_FLOOR = 2.0**18 * np.finfo(float).eps
 
 
-def _live(spectra: np.ndarray) -> np.ndarray:
-    """Where each column of spectra lives, one column of magnitudes at a time.
+def _support_bins(spectra: np.ndarray) -> np.ndarray:
+    """The bins where some column of spectra lives.
 
-    A bin is live when the generator's transform there exceeds
+    A bin is kept when some generator's transform there exceeds
     _SUPPORT_FLOOR times its own largest bin; the rest is rounding.
     Rescaling a generator, or reframing it to a larger grid, keeps the same
     bins.
     """
-    live = np.empty(spectra.shape, dtype=bool, order="F")
-    for c in range(spectra.shape[1]):
-        mags = np.abs(spectra[:, c])
-        np.greater(mags, _SUPPORT_FLOOR * np.max(mags, initial=0.0), out=live[:, c])
-    return live
+    mags = np.abs(spectra)
+    floor = _SUPPORT_FLOOR * np.max(mags, axis=0)
+    return np.nonzero(np.any(mags > floor, axis=1))[0]
 
 
-def _support_bins(spectra: np.ndarray) -> np.ndarray:
-    """The bins where some column of spectra lives."""
-    return np.flatnonzero(np.any(_live(spectra), axis=1))
-
-
-def _support_rows(spectra: np.ndarray, count: int, step: int = 1, bins: np.ndarray | None = None) -> _SupportRows:
-    """spectra on their joint support (bins, if the caller has it), with the phases of count rolls by step."""
+def _support_rows(spectra: np.ndarray, count: int, step: int = 1) -> _SupportRows:
+    """spectra on their joint support, with the phases of count rolls by step."""
     n = spectra.shape[0]
-    bins = _support_bins(spectra) if bins is None else bins
+    bins = _support_bins(spectra)
     k = step * np.arange(count)
     phases = np.exp(2j * np.pi * ((bins[:, None] * k[None, :]) % n) / n)
     return _SupportRows(n, bins, phases, spectra[bins])

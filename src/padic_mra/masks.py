@@ -113,9 +113,13 @@ class TrigPolynomial:
                 folded = np.zeros(-(-self.coeffs.size // n) * n, dtype=np.complex128)
                 folded[: self.coeffs.size] = self.coeffs
                 vals = _fourier_values(folded.reshape(-1, n).sum(axis=0), p, 0)
-                vals.setflags(write=False)
-            self._grid_cache[t] = vals
+            self._cache_grid(t, vals)
         return self._grid_cache[t]
+
+    def _cache_grid(self, t: int, vals: np.ndarray) -> None:
+        """Keep vals, read-only, as m(j / p^t) for j = 0 .. p^t - 1."""
+        vals.setflags(write=False)
+        self._grid_cache[t] = vals
 
     def at_one(self) -> complex:
         """m(0) = P(1) = sum of coefficients."""

@@ -49,12 +49,12 @@ def _pairs(vec: np.ndarray) -> list[list[float]]:
 
 def _unpairs(data: list[list[float]]) -> np.ndarray:
     try:
-        pairs = np.array(data, dtype=np.float64)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError(f"an array of shape {pairs.shape}")
-    except (TypeError, ValueError) as exc:
+        pairs = np.array(data)
+    except ValueError as exc:
         raise ValueError(f"complex values must be [re, im] pairs, not {exc}") from None
-    return pairs.view(np.complex128).reshape(-1)
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"complex values must be [re, im] pairs, not {pairs.dtype} of shape {pairs.shape}")
+    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128).reshape(-1)
 
 
 def rational_to_json(x: PadicRational) -> dict:

@@ -207,20 +207,20 @@ def norm_l2(f: TestFunction) -> float:
     return float(np.sqrt(max(inner_product(f, f).real, 0.0)))
 
 
-def _fourier_values(values: np.ndarray, p: int, M: int, out: np.ndarray | None = None) -> np.ndarray:
+def _fourier_values(values: np.ndarray, p: int, M: int) -> np.ndarray:
     """Transform of each column, a function on a frame (N, M).
 
     Row l is p^-M * sum_a values[a] exp(2 pi i l a / n), n the row count.
-    The scale multiplies the FFT's own output, in out (values itself may be out).
+    The scale multiplies the FFT's own output in place.
     """
-    out = np.fft.ifft(values, axis=0, out=out)
+    out = np.fft.ifft(values, axis=0)
     out *= float(p) ** (-M) * values.shape[0]
     return out
 
 
-def _inv_fourier_values(values: np.ndarray, p: int, P: int, out: np.ndarray | None = None) -> np.ndarray:
+def _inv_fourier_values(values: np.ndarray, p: int, P: int) -> np.ndarray:
     """Inverse of _fourier_values for each column, a transform on a frame (S, P)."""
-    out = np.fft.fft(values, axis=0, out=out)
+    out = np.fft.fft(values, axis=0)
     out *= float(p) ** (-P)
     return out
 

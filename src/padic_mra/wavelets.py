@@ -50,7 +50,7 @@ inclusion test solves for no target: one SVD of the span gives the d
 directions it cannot reach, and the misfit of every target is its
 component along them, zero when d = 0. verify_wavelet_set and
 frame_bounds trust nothing from the build: they transform the given
-wavelets in place in one column-contiguous buffer (_spectra), r
+wavelets into one column-contiguous buffer (_spectra), r
 transforms on the refined grid and phi's one on its own, besides the
 mask grids (cached on each mask, so a set that was just built has them),
 and read every residual and support bin off it.
@@ -86,9 +86,9 @@ from ._translates import (
     _chunks,
     _complement,
     _factor,
-    _live,
     _rank,
     _sup,
+    _support_bins,
     _support_rows,
     _translate_sum,
     _translates,
@@ -137,13 +137,13 @@ def wavelet_masks(
     guaranteed to produce a wavelet set, though user-supplied masks can
     still be verified downstream.
     """
-    return _window_masks(phi, m0, _l_set(phi, fourier(phi).values, tol))
+    return _window_masks(phi, m0, _l_set(phi, fourier(phi).values, tol))[0]
 
 
-def _window_masks(phi: TestFunction, m0: TrigPolynomial, ls: LSet) -> list[TrigPolynomial]:
-    """wavelet_masks given phi's L set; both refusals come before any grid is allocated.
+def _window_masks(phi: TestFunction, m0: TrigPolynomial, ls: LSet) -> tuple[list[TrigPolynomial], np.ndarray]:
+    """wavelet_masks given phi's L set, with z = chi_p(k/p^(N+M+1)) on the refined grid.
 
-    Each mask's depth-(N+M+1) grid is cached: n_nu's is n_1's times z^((nu-1) p^N), gathered from z.
+    Both refusals come before any grid is allocated.
     """
     N, M = phi.frame
     p = phi.prime
@@ -174,11 +174,7 @@ def _window_masks(phi: TestFunction, m0: TrigPolynomial, ls: LSet) -> list[TrigP
     for nu in range(1, p):
         coeffs = np.concatenate([np.zeros((nu - 1) * p**N, dtype=np.complex128), base])
         masks.append(TrigPolynomial(p, coeffs, scale=N))
-    first = masks[0].values_on_depth_grid(N + M + 1)
-    for nu, mk in enumerate(masks[1:], start=1):
-        mk._grid_cache[N + M + 1] = grid = first * z[(np.arange(n) * (nu * p**N)) % n]
-        grid.setflags(write=False)
-    return masks
+    return masks, z
 
 
 def _factorized(hat: np.ndarray, mask: TrigPolynomial, p: int, N: int, M: int) -> np.ndarray:
@@ -204,9 +200,9 @@ def _v0_residuals(hat: np.ndarray, spec: np.ndarray, p: int, N: int, shifts: int
     """
     corr = np.conj(spec[::p])
     corr *= hat[:, None]
-    corr = np.abs(_inv_fourier_values(corr, p, N, out=corr))
+    corr = _inv_fourier_values(corr, p, N)
     d = np.arange(-(p**N) + 1, p**N) + p**N * np.arange(shifts)[:, None]
-    return corr[d % hat.shape[0]].max(axis=1)
+    return np.abs(corr[d % hat.shape[0]]).max(axis=1)
 
 
 def _relative(residual: float, scale: float) -> float:
@@ -317,18 +313,24 @@ def build_wavelet_set(
     """Wavelet masks and verified wavelets for phi, on the frame (N, M+1).
 
     psi_nu is psi_1 rolled by (nu-1) p^N, and psi_1's one correlation with
-    phi, read at every shift, checks them all against V_0.
+    phi, read at every shift, checks them all against V_0. n_nu's grid is
+    cached as n_1's times z^((nu-1) p^N), gathered from z.
     """
     (N, M), p = phi.frame, phi.prime
     check_limits(p, N + M + 1, tol)
     hat = fourier(phi).values
     try:
-        masks = _window_masks(phi, m0, _l_set(phi, hat, tol))
+        masks, z = _window_masks(phi, m0, _l_set(phi, hat, tol))
     except UnsupportedConfigurationError:
         # The refusal's traceback keeps this frame alive for as long as the
         # caller keeps the exception; it need not keep the spectrum too.
         del hat
         raise
+    n = z.shape[0]
+    grid = masks[0].values_on_depth_grid(N + M + 1)
+    for nu, mk in enumerate(masks[1:], start=1):
+        mk._cache_grid(N + M + 1, grid * z[(np.arange(n) * (nu * p**N)) % n])
+    del z
     spec = _factorized(hat, masks[0], p, N, M)
     first = TestFunction(p, N, M + 1, _inv_fourier_values(spec, p, N))
     bound = norm_l2(phi) * norm_l2(first)
@@ -382,8 +384,8 @@ class WaveletVerification:
 def _spectra(ws: WaveletSet) -> np.ndarray:
     """Transforms on the frame (N, M+1) of phi, each wavelet and phi(x/p), one column each.
 
-    Column-contiguous (Fortran order); the wavelets are one batched transform
-    in place. phi's two columns are Phi0 and p^-1 phi-hat(p xi), from phi's
+    Column-contiguous (Fortran order), each wavelet transformed into its own
+    column. phi's two columns are Phi0 and p^-1 phi-hat(p xi), from phi's
     own transform placed every p bins and tiled p times. For a valid set
     their joint support is that of phi(x/p): p #L bins.
     """
@@ -392,8 +394,7 @@ def _spectra(ws: WaveletSet) -> np.ndarray:
     out = np.zeros((p * hat.shape[0], ws.r + 2), dtype=np.complex128, order="F")
     out[::p, 0] = hat
     for i, psi in enumerate(ws.wavelets):
-        out[:, 1 + i] = psi.values
-    _fourier_values(out[:, 1:-1], p, ws.period_exp + 1, out=out[:, 1:-1])
+        out[:, 1 + i] = _fourier_values(psi.values, p, ws.period_exp + 1)
     out[:, -1].reshape(p, -1)[:] = hat / p
     return out
 
@@ -425,17 +426,15 @@ def _inclusion(ws: WaveletSet, rows: _SupportRows, target_bins: int) -> tuple[fl
 def _verify(ws: WaveletSet, tol: float) -> tuple[WaveletVerification, _SupportRows]:
     """verify_wavelet_set, with the support rows that frame_bounds reuses.
 
-    One |spectra| pass gives the support bins of the rows and of phi(x/p),
-    whose column, times p and each mask's grid, is what phi's and each
+    The column of phi(x/p), times p and each mask's grid, is what phi's and each
     wavelet's should be. The V_0 residuals, relative to ||phi|| ||psi||, are
     one batched inverse transform. The full spectra are dropped before the
     inclusion test transforms its misfit basis.
     """
     p, N, M = ws.prime, ws.support_exp, ws.period_exp
     spectra = _spectra(ws)
-    live = _live(spectra)
-    rows = _support_rows(spectra, p ** (N + 1), bins=np.flatnonzero(live.any(axis=1)))
-    target_bins = int(np.count_nonzero(live[:, -1]))
+    rows = _support_rows(spectra, p ** (N + 1))
+    target_bins = _support_bins(spectra[:, -1:]).size
     hat, tiled = spectra[::p, 0], spectra[:, -1]
     expected = np.empty_like(tiled)
     misfits = []
@@ -451,7 +450,7 @@ def _verify(ws: WaveletSet, tol: float) -> tuple[WaveletVerification, _SupportRo
     norm = norm_l2(ws.phi)
     v0s = _v0_residuals(hat, spectra[:, 1:-1], p, N)[0]
     v0 = max((_relative(float(o), norm * norm_l2(psi)) for o, psi in zip(v0s, ws.wavelets)), default=0.0)
-    del live, hat, tiled, spectra
+    del hat, tiled, spectra
     inclusion, count = _inclusion(ws, rows, target_bins)
     return WaveletVerification(tol, refinement, v0, fact, inclusion, count), rows
 

@@ -106,7 +106,7 @@ class TestInputFiles:
         assert "exceeds the supported maximum" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "values", [[[1.0, 0.0, 0.0]], [[1.0]], [["a", 0.0]], [[{"re": 1.0}, 0.0]], [1.0], [[[1.0, 0.0]]]]
+        "values", [[[1.0, 0.0, 0.0]], [[1.0]], [["a", 0.0]], [["1", "0"]], [[1.0, "0"]], [[{"re": 1.0}, 0.0]], [1.0], [[[1.0, 0.0]]]]
     )
     def test_malformed_pairs_are_refused(self, tmp_path, capsys, values):
         (tmp_path / "phi.json").write_text(json.dumps({"p": 2, "N": 0, "M": 0, "values": values}))

@@ -97,6 +97,12 @@ class TestWaveletMasks:
         assert np.allclose(taps[0], [-3.0, 3.0])
         assert np.allclose(taps[1], [0.0, -3.0, 3.0])
 
+    def test_public_masks_carry_no_grid(self, haar3):
+        # only the build caches the masks' refined grids, which it needs anyway
+        masks = wavelet_masks(haar3.phi, haar3.scaling_mask)
+        assert [m.coeffs.tolist() for m in masks] == [m.coeffs.tolist() for m in haar3.masks]
+        assert not any(m._grid_cache for m in masks)
+
     def test_quartic_mask_count_and_degree(self, quartic_ws):
         # p = 2, N = 2: one mask of degree p^N = #L = 4
         assert len(quartic_ws.masks) == 1
