@@ -20,12 +20,11 @@ uniform grid the product telescopes exactly: the depth-t product is the
 depth-(t-1) product tiled p times, times m(l / p^t), so it costs O(p^t)
 with no index arithmetic, the refinement identity holds on the grid by
 construction, and every support decision reduces to one sphere of unit
-residues. refinable_from_mask builds the product once: its depth M+N is
-phi-hat and one more telescoping step gives the sphere p^(M+1) it
-decides; it evaluates the mask once, at that last depth, and strides the
-rest. It applies check_mra's limits (config.check_limits on the refined
-frame (N, M+1)) to its output; hat_from_mask and sphere_values apply them
-to the grid of the depth product they build.
+residues. refinable_from_mask builds the product one depth at a time and
+stops at the first sphere that vanishes. It applies check_mra's limits
+(config.check_limits on the refined frame (N, M+1)) to its output;
+hat_from_mask and sphere_values apply them to the grid of the depth
+product they build.
 """
 
 from __future__ import annotations
@@ -38,7 +37,8 @@ import numpy as np
 from .config import DEFAULT_TOL, check_limits, check_tol
 from .errors import PreconditionError, SupportViolationError
 from .padic_core import PadicRational, character
-from .test_functions import TestFunction, _fourier_values, inv_fourier
+from ._translates import _SUPPORT_FLOOR
+from .test_functions import TestFunction, _fourier_values, inv_fourier, reframe
 
 __all__ = [
     "TrigPolynomial",
@@ -62,7 +62,7 @@ class TrigPolynomial:
     prime: int
     coeffs: np.ndarray
     scale: int | None = None
-    _grid_cache: dict = field(default_factory=dict, repr=False)
+    _grid_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=np.complex128).reshape(-1)
@@ -278,21 +278,31 @@ def refinable_from_mask(
 ) -> TestFunction:
     """Solve the refinement equation for phi in D_N^M, or refuse.
 
-    Raises SupportViolationError (with the extremal sphere point) when the
-    product formula does not vanish on the sphere p^(M+1), i.e. when no
-    solution with the requested Fourier support exists. The refined frame
-    (N, M+1) that check_mra builds from the result must fit the grid cap.
+    At the first sphere p^s, s <= M, whose unit values are all at or below
+    _SUPPORT_FLOOR times the depth product's peak (_support_bins' rounding),
+    phi is solved on (N, s-1) and tiled to (N, M), an exact reframe. Else
+    SupportViolationError (with the extremal sphere point) is raised when
+    the product does not vanish on the sphere p^(M+1): no solution with the
+    requested Fourier support exists. The refined frame (N, M+1) that
+    check_mra builds from the result must fit the grid cap.
     """
     N = _require_scaling_mask(m, tol)
     M = period_exp
     if M + N < 0:
         raise PreconditionError(f"frame ({N}, {M}) has N + M < 0")
     check_limits(m.prime, N + M + 1, tol)
-    # the sphere's depth first, so that the depth product strides its grid
-    m.values_on_depth_grid(N + M + 1)
-    hat = hat_from_mask(m, M, tol)
-    sphere = _deepen(m, hat.values, M + N + 1)
-    ok, witness, worst = _margin(m, M + 1, *_units(m, sphere), tol)
+    hat = np.ones(1, dtype=np.complex128)
+    for t in range(1, N + M + 2):
+        # depth t holds the sphere p^(t-N): the entries of deeper off p Z
+        deeper = _deepen(m, hat, t)
+        if t - N > M:
+            break
+        if t - N >= 1:
+            mags = np.abs(deeper)
+            if mags.reshape(-1, m.prime)[:, 1:].max() <= _SUPPORT_FLOOR * mags.max():
+                return reframe(inv_fourier(TestFunction(m.prime, t - N - 1, N, hat)), N, M)
+        hat = deeper
+    ok, witness, worst = _margin(m, M + 1, *_units(m, deeper), tol)
     if not ok:
         raise SupportViolationError(witness, worst)
-    return inv_fourier(hat)
+    return inv_fourier(TestFunction(m.prime, M, N, hat))

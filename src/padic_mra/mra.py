@@ -47,7 +47,7 @@ L set, the refinement residual and the orthonormality stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from ._translates import (
 from .padic_core import PadicRational
 from .test_functions import (
     TestFunction,
+    _coarsest_period,
     _fourier_values,
     _inv_fourier_values,
     fourier,
@@ -99,9 +100,17 @@ def _require_frame(f: TestFunction) -> tuple[int, int]:
     return N, M
 
 
-def _lifted(f: TestFunction) -> TestFunction:
-    """f on the frame with negative components lifted to zero; every value is kept."""
-    return reframe(f, max(f.support_exp, 0), max(f.period_exp, 0))
+def _coarse(f: TestFunction, M: int) -> TestFunction:
+    """f on the frame (N, M), M at least _coarsest_period(f): its first p^(N+M) values."""
+    if M == f.period_exp:
+        return f
+    return TestFunction(f.prime, f.support_exp, M, f.values[: f.prime ** (f.support_exp + M)])
+
+
+def _lifted(f: TestFunction) -> tuple[TestFunction, int]:
+    """f, its negative frame components lifted to zero, on its coarsest exact frame, and its lifted M."""
+    f = reframe(f, max(f.support_exp, 0), max(f.period_exp, 0))
+    return _coarse(f, _coarsest_period(f)), f.period_exp
 
 
 # --------------------------------------------------------------------------
@@ -140,8 +149,8 @@ class LSet:
 
 def l_set(phi: TestFunction, tol: float = DEFAULT_TOL) -> LSet:
     """The L set of phi, its frame's negative components lifted to zero first."""
-    phi = _lifted(phi)
-    return _l_set(phi, fourier(phi).values, tol)
+    phi, M = _lifted(phi)
+    return _reframed(_l_set(phi, fourier(phi).values, tol), M)
 
 
 def _l_set(phi: TestFunction, hat: np.ndarray, tol: float) -> LSet:
@@ -154,6 +163,14 @@ def _l_set(phi: TestFunction, hat: np.ndarray, tol: float) -> LSet:
     excluded = mags[~member_mask]
     max_out = float(excluded.max()) if excluded.size else 0.0
     return LSet(phi.prime, N, M, tol, members, min_in, max_out)
+
+
+def _reframed(ls: LSet, M: int) -> LSet:
+    """ls on the period exponent M: bin l/p^M' is bin l p^(M - M') of the finer grid."""
+    if M == ls.period_exp:
+        return ls
+    scale = ls.prime ** (M - ls.period_exp)
+    return replace(ls, period_exp=M, members=tuple(l * scale for l in ls.members))
 
 
 # --------------------------------------------------------------------------
@@ -317,9 +334,8 @@ def check_orthonormal_shifts(
     phi: TestFunction, tol: float = DEFAULT_TOL
 ) -> OrthonormalityReport:
     """Orthonormality of phi's translates, its frame's negative components lifted to zero first."""
-    phi = _lifted(phi)
-    N, M = phi.frame
-    check_limits(phi.prime, N + M, tol)
+    phi, M = _lifted(phi)
+    check_limits(phi.prime, phi.support_exp + M, tol)
     return _orthonormality(phi, fourier(phi).values, tol)
 
 
@@ -434,6 +450,10 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
     Rejects candidates with zero mean: the criterion is not defined there.
     The prime, tol and the refined grid p^(N+M+1) pass config.check_limits.
 
+    Like l_set and check_orthonormal_shifts, it runs on phi's coarsest exact
+    frame (N, M'), as no verdict depends on the frame; L is reframed to
+    (N, M), member l becoming l p^(M - M').
+
     Density and trivial intersection hold for every nonzero-mean phi with
     compact Fourier support (every sphere |xi| = p^s dilates into B_{-N},
     where the transform is the mean; for orthonormal translates classical
@@ -442,10 +462,10 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
     For an orthonormal phi that meets the criterion, Haar equivalence is
     the set equality of L with the unit-ball residues; no solve is needed.
     """
-    phi = _lifted(phi)
+    phi, declared = _lifted(phi)
     N, M = phi.frame
     p = phi.prime
-    check_limits(p, N + M + 1, tol)
+    check_limits(p, N + declared + 1, tol)
 
     # One transform serves the mean phi-hat(0) = p^-M sum phi, the L set,
     # the refinement residual and the orthonormality stages.
@@ -485,12 +505,12 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
     return MraReport(
         prime=p,
         support_exp=N,
-        period_exp=M,
+        period_exp=declared,
         tol=tol,
         mean_value=complex(hat0),
         refinable=refinable,
         refine_residual=refine_residual,
-        lset=ls,
+        lset=_reframed(ls, declared),
         criterion_ok=criterion_ok,
         fit_rows=int(s0.size),
         axiom_a_residual=axiom_a_residual,

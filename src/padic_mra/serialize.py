@@ -11,6 +11,7 @@ list that is not [re, im] pairs is refused with ValueError.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -54,6 +55,10 @@ def _unpairs(data: list[list[float]]) -> np.ndarray:
         raise ValueError(f"complex values must be [re, im] pairs, not {exc}") from None
     if pairs.dtype.kind not in "iuf" or pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"complex values must be [re, im] pairs, not {pairs.dtype} of shape {pairs.shape}")
+    # numpy reads JSON true and false as numbers when a pair mixes them with numbers
+    kinds = set(map(type, chain.from_iterable(data)))
+    if not kinds <= {int, float}:
+        raise ValueError(f"complex values must be [re, im] pairs of numbers, not {sorted(k.__name__ for k in kinds)}")
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128).reshape(-1)
 
 

@@ -9,6 +9,8 @@ The pair (N, M) is a declared frame, not an intrinsic property: re-framing
 to any larger frame changes the storage, never a pointwise value. All frame
 bookkeeping below reduces to exact integer index arithmetic; the derivations
 rely only on x -> x * p^N being a bijection of the grid onto Z mod p^(N+M).
+A larger M tiles the values, so _coarsest_period reads the smallest frame
+a function exactly has off them; mra and wavelets check there.
 
 The transform here is the additive-character integral with Haar measure
 normalized so that Z_p has measure 1. It maps D_N^M onto D_M^N and is
@@ -139,11 +141,25 @@ def reframe(f: TestFunction, support_exp: int, period_exp: int) -> TestFunction:
         )
     if (N2, M2) == (N, M):
         return f
-    step = f.prime ** (N2 - N)
-    n2 = f.prime ** (N2 + M2)
-    idx = np.arange(n2)
-    out = np.where(idx % step == 0, f.values[(idx // step) % f.n], 0)
+    # tiled in the period direction, spread every p^(N2-N) points in the support direction
+    out = np.zeros(f.prime ** (N2 + M2), dtype=np.complex128)
+    out[:: f.prime ** (N2 - N)] = np.tile(f.values, f.prime ** (M2 - M))
     return TestFunction(f.prime, N2, M2, out)
+
+
+def _coarsest_period(f: TestFunction) -> int:
+    """The smallest M' >= max(0, -N) with f = reframe(f', N, M) for f' on (N, M'), or M when M <= 0.
+
+    That is, f's values are exactly (==) the tiling of their first
+    p^(N+M') values; each shorter period is tested once, O(n) in all.
+    """
+    M = f.period_exp
+    while M > max(0, -f.support_exp):
+        n = f.prime ** (f.support_exp + M)
+        if not (f.values[n // f.prime : n] == f.values[: n - n // f.prime]).all():
+            break
+        M -= 1
+    return M
 
 
 def common_frame(f: TestFunction, g: TestFunction) -> tuple[TestFunction, TestFunction]:

@@ -34,7 +34,9 @@ Phi0 conj(Psi), which lives on the bins p l, so they are one inverse
 transform on phi's own grid of its p-strided bins. As n_nu =
 z^((nu-1) p^N) n_1, psi_nu is psi_1 rolled by (nu-1) p^N, so a build
 makes 3 refined-grid transforms whatever r (B's coefficients, n_1's grid,
-psi_1) and 2 on phi's grid (phi, psi_1's correlation). wavelet_functions
+psi_1) and 2 on phi's grid (phi, psi_1's correlation), all on the
+coarsest frame the set exactly has, where verify_wavelet_set and
+frame_bounds run too. wavelet_functions
 transforms masks of any form: per mask, its grid and one inverse
 transform on the refined grid and one on phi's. Every
 wavelet residual is relative to the scale of what it compares: a verdict
@@ -94,9 +96,10 @@ from ._translates import (
     _translates,
 )
 from .masks import TrigPolynomial, haar_mask
-from .mra import LSet, _l_set
+from .mra import LSet, _coarse, _l_set
 from .test_functions import (
     TestFunction,
+    _coarsest_period,
     _fourier_values,
     _inv_fourier_values,
     fourier,
@@ -312,15 +315,19 @@ def build_wavelet_set(
 ) -> WaveletSet:
     """Wavelet masks and verified wavelets for phi, on the frame (N, M+1).
 
-    psi_nu is psi_1 rolled by (nu-1) p^N, and psi_1's one correlation with
-    phi, read at every shift, checks them all against V_0. n_nu's grid is
-    cached as n_1's times z^((nu-1) p^N), gathered from z.
+    It runs on phi's coarsest exact frame (N, M') and tiles psi_1 from
+    (N, M'+1); B's roots chi_p(l / p^(N+M)) do not depend on M. psi_nu is
+    psi_1 rolled by (nu-1) p^N, and psi_1's one correlation with phi, read
+    at every shift, checks them all against V_0. n_nu's grid is cached as
+    n_1's times z^((nu-1) p^N), gathered from z.
     """
-    (N, M), p = phi.frame, phi.prime
-    check_limits(p, N + M + 1, tol)
-    hat = fourier(phi).values
+    (N, declared), p = phi.frame, phi.prime
+    check_limits(p, N + declared + 1, tol)
+    coarse = _coarse(phi, _coarsest_period(phi))
+    M = coarse.period_exp
+    hat = fourier(coarse).values
     try:
-        masks, z = _window_masks(phi, m0, _l_set(phi, hat, tol))
+        masks, z = _window_masks(coarse, m0, _l_set(coarse, hat, tol))
     except UnsupportedConfigurationError:
         # The refusal's traceback keeps this frame alive for as long as the
         # caller keeps the exception; it need not keep the spectrum too.
@@ -333,11 +340,12 @@ def build_wavelet_set(
     del z
     spec = _factorized(hat, masks[0], p, N, M)
     first = TestFunction(p, N, M + 1, _inv_fourier_values(spec, p, N))
-    bound = norm_l2(phi) * norm_l2(first)
+    bound = norm_l2(coarse) * norm_l2(first)
     for i, orth in enumerate(_v0_residuals(hat, spec[:, None], p, N, len(masks))[:, 0]):
         _refuse_unorthogonal(i, _relative(float(orth), bound), tol)
     del spec
-    psis = [first] + [TestFunction(p, N, M + 1, np.roll(first.values, i * p**N)) for i in range(1, len(masks))]
+    first = reframe(first, N, declared + 1)
+    psis = [first] + [TestFunction(p, N, declared + 1, np.roll(first.values, i * p**N)) for i in range(1, len(masks))]
     return WaveletSet(phi, m0, psis, masks, tol)
 
 
@@ -429,9 +437,15 @@ def _verify(ws: WaveletSet, tol: float) -> tuple[WaveletVerification, _SupportRo
     The column of phi(x/p), times p and each mask's grid, is what phi's and each
     wavelet's should be. The V_0 residuals, relative to ||phi|| ||psi||, are
     one batched inverse transform. The full spectra are dropped before the
-    inclusion test transforms its misfit basis.
+    inclusion test transforms its misfit basis. It all runs on the set's
+    coarsest exact frame, (N, M') for phi, M' the largest of phi's coarsest
+    period exponent and each wavelet's less one.
     """
-    p, N, M = ws.prime, ws.support_exp, ws.period_exp
+    M = _coarsest_period(ws.phi)
+    if M < ws.period_exp:
+        M = max([M] + [_coarsest_period(psi) - 1 for psi in ws.wavelets])
+        ws = replace(ws, phi=_coarse(ws.phi, M), wavelets=[_coarse(psi, M + 1) for psi in ws.wavelets])
+    p, N = ws.prime, ws.support_exp
     spectra = _spectra(ws)
     rows = _support_rows(spectra, p ** (N + 1))
     target_bins = _support_bins(spectra[:, -1:]).size

@@ -17,7 +17,9 @@ padded by a power of z - 1, the wavelet inclusion test
 and frame Gram on the full refined grid, one rolled column at a time,
 each wavelet's factorization and V_0 residuals from its own transforms,
 and span equality of two column systems by two dense least-squares
-solves.
+solves, and reframe's values by the index formula over the whole larger
+grid. The declared_frame fixture runs the checks on their input's declared
+frame instead of its coarsest exact one.
 Frozen expected values in the test modules were produced by these oracles,
 not by the code under test. The transform_lengths fixture records the
 length of every transform numpy.fft makes.
@@ -29,6 +31,7 @@ first imported, which is when BLAS reads it.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -51,6 +54,7 @@ from padic_mra import (
     reframe,
     shift,
 )
+from padic_mra import mra, wavelets
 from padic_mra.padic_core import PadicRational, character
 
 
@@ -66,6 +70,17 @@ def oracle_fourier(f: TestFunction) -> np.ndarray:
     idx = np.arange(mod, dtype=np.int64)
     phases = np.outer(idx, idx) % mod
     return np.exp(2j * np.pi * phases / mod) @ f.values * float(p) ** (-M)
+
+
+def oracle_reframe(f: TestFunction, support_exp: int, period_exp: int) -> np.ndarray:
+    """reframe's values by the index formula over every point of the larger frame.
+
+    Point a of (N2, M2) is f's entry (a / step) mod n when step = p^(N2 - N)
+    divides a, and 0 otherwise.
+    """
+    step = f.prime ** (support_exp - f.support_exp)
+    idx = np.arange(f.prime ** (support_exp + period_exp))
+    return np.where(idx % step == 0, f.values[(idx // step) % f.n], 0)
 
 
 def oracle_inner(f: TestFunction, g: TestFunction) -> complex:
@@ -430,6 +445,28 @@ def transform_lengths(monkeypatch) -> list[int]:
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
     return lengths
+
+
+@pytest.fixture(scope="session")
+def declared_frame():
+    """A context manager under which every check runs on its input's declared frame.
+
+    The library runs check_mra, l_set, check_orthonormal_shifts,
+    build_wavelet_set, verify_wavelet_set and frame_bounds on the coarsest
+    frame their input exactly has (test_functions._coarsest_period). Inside
+    the context that helper returns the declared period exponent M, so the
+    same code runs on the full grid: the oracle the coarse run must agree
+    with.
+    """
+
+    @contextlib.contextmanager
+    def declared():
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (mra, wavelets):
+                mp.setattr(module, "_coarsest_period", lambda f: f.period_exp)
+            yield
+
+    return declared
 
 
 @pytest.fixture()

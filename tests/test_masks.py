@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,7 @@ from padic_mra.generators import (
     random_unimodular_mask,
 )
 from padic_mra.masks import _depth_product
+from padic_mra.test_functions import _coarsest_period
 from padic_mra.padic_core import PadicRational, character
 
 
@@ -51,6 +54,13 @@ class TestTrigPolynomial:
     def test_rejects_non_finite_coefficients(self, bad):
         with pytest.raises(PreconditionError, match="finite"):
             TrigPolynomial(2, np.array([0.5, bad]), scale=0)
+
+    def test_a_replaced_mask_computes_its_own_grids(self):
+        m = haar_mask(3)
+        grid = m.values_on_depth_grid(2)
+        doubled = replace(m, coeffs=2 * m.coeffs)
+        assert np.array_equal(doubled.values_on_depth_grid(2), 2 * grid)
+        assert np.array_equal(m.values_on_depth_grid(2), grid)
 
     def test_degree_ignores_trailing_zeros(self):
         m = TrigPolynomial(2, np.array([0.5, 0.5, 0.0, 0.0]), scale=0)
@@ -100,10 +110,15 @@ class TestTrigPolynomial:
         drawn = random_covering_mask(rng, p, N, M)
         m = TrigPolynomial(p, drawn.coeffs, N)  # no grid cached by the draw's own check
         transform_lengths.clear()
-        refinable_from_mask(m, M)
-        # one mask grid at depth N+M+1, strided for every shallower depth, and
-        # phi from its transform on its own grid
-        assert sorted(transform_lengths) == [p ** (N + M), p ** (N + M + 1)]
+        phi = refinable_from_mask(m, M)
+        # M0, phi's coarsest exact period exponent: the draws at (3, 1, 2) and
+        # (7, 1, 1) live on their whole declared ball and are no reframe
+        M0 = {(2, 2, 4): 0, (5, 0, 3): 0}.get((p, N, M), M)
+        assert _coarsest_period(phi) == M0
+        # one mask grid per depth up to N+M0+1, where sphere M0+1 vanishes or
+        # (M0 = M) is decided, and phi from its transform on its coarsest grid
+        depths = [p**t for t in range(1, N + M0 + 2)]
+        assert sorted(transform_lengths) == sorted(depths + [p ** (N + M0)])
 
 
 class TestMaskFromRoots:

@@ -253,11 +253,17 @@ class TestCheckMra:
             spy(np.linalg, name, solves)
         for name in ("fft", "ifft"):
             spy(np.fft, name, lengths)
-        for phi in (big, quartic_phi, omega(3, 1, 1), _covering_phi_p2_n4()):
+        # every transform is on phi's coarsest exact grid p^(N+M0). The ball
+        # indicator with one value moved by 1e-13 is no reframe, and keeps its
+        # declared grid, as do the quartic and the covering phi at M = M0 = 1.
+        nudged = omega(3, 1, 1).values.copy()
+        nudged[-1] += 1e-13
+        nudged = TestFunction(3, 1, 1, nudged)
+        for phi, M0 in ((big, 0), (quartic_phi, 1), (omega(3, 1, 1), 0), (_covering_phi_p2_n4(), 1), (nudged, 1)):
             lengths.clear()
             report = check_mra(phi)
             assert report.criterion_ok and report.axiom_a_route == "derived"
-            assert lengths and set(lengths) == {phi.n}
+            assert lengths and set(lengths) == {phi.prime ** (phi.support_exp + M0)}
             if phi is big:
                 assert report.lset.size == report.fit_rows == 2**11
         assert not solves

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_fourier, oracle_inner
+from conftest import oracle_fourier, oracle_inner, oracle_reframe
 from padic_mra import (
     TestFunction,
     allclose,
@@ -110,6 +110,23 @@ class TestReframe:
         f = omega(2, 1, 1)
         with pytest.raises(ValueError):
             reframe(f, 0, 1)
+
+    @given(
+        st.sampled_from([2, 3]),
+        st.integers(min_value=-2, max_value=2),
+        st.integers(min_value=-2, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_the_index_formula_bit_for_bit(self, p, N, M, dN, dM, seed):
+        assume(0 <= N + M <= 3)
+        vals = np.random.default_rng(seed).normal(size=(p ** (N + M), 2)) @ np.array([1, 1j])
+        vals[::2] = -0.0  # signed zeros must be copied as they are
+        f = TestFunction(p, N, M, vals)
+        g = reframe(f, N + dN, M + dM)
+        assert g.frame == (N + dN, M + dM)
+        assert g.values.tobytes() == oracle_reframe(f, N + dN, M + dM).astype(np.complex128).tobytes()
 
 
 class TestShiftDilate:

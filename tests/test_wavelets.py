@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padic_mra import (
     TestFunction,
@@ -55,7 +57,7 @@ from padic_mra.errors import (
     UnsupportedConfigurationError,
     VerificationError,
 )
-from padic_mra.generators import random_covering_mask, random_function
+from padic_mra.generators import random_covering_mask, random_function, random_unimodular_mask
 from padic_mra import _translates, mra, test_functions, wavelets
 from padic_mra._translates import _support_bins
 from padic_mra.wavelets import (
@@ -391,35 +393,51 @@ class TestSharedSpectra:
             _assert_residual_matches(got[0], want[0])
             _assert_residual_matches(got[1], want[1])
 
-    @pytest.mark.parametrize("case", ["haar5", "haar7", "quartic"])
+    @pytest.mark.parametrize("case", ["haar5", "haar7", "quartic", "quartic-nudged"])
     def test_each_generator_is_transformed_once(self, case, quartic_mask, transform_lengths):
-        m0, M = {"haar5": (haar_mask(5), 2), "haar7": (haar_mask(7), 2), "quartic": (quartic_mask, 3)}[case]
+        # a fresh quartic mask: no grid cached by an earlier test
+        quartic = (TrigPolynomial(2, quartic_mask.coeffs, 2), 3)
+        m0, M = {"haar5": (haar_mask(5), 2), "haar7": (haar_mask(7), 2)}.get(case, quartic)
         phi = refinable_from_mask(m0, M)
+        # the build, the checks and frame_bounds run on phi's coarsest exact frame
+        # (N, M0): M0 = 0 for Haar and 1 for the quartic. One value moved by
+        # 1e-13 makes phi no reframe, so they keep the declared frame (N, M).
+        M0 = {"haar5": 0, "haar7": 0, "quartic": 1}.get(case, M)
+        if case == "quartic-nudged":
+            nudged = phi.values.copy()
+            nudged[-1] += 1e-13
+            phi = TestFunction(2, 2, M, nudged)
         masks = wavelet_masks(phi, m0)
         ws = build_wavelet_set(phi, m0)
         p, N, r = ws.prime, ws.support_exp, ws.r
         # numpy.fft is one module object: the spy sees every caller
         assert wavelets.np.fft is mra.np.fft is test_functions.np.fft
-        refined = p ** (N + M + 1)
+        refined = p ** (N + M0 + 1)
 
         def transforms(call):
             """The number of refined-grid transforms call makes; the rest fit phi's grid."""
             transform_lengths.clear()
             call()
-            assert all(n == refined or n <= p ** (N + M) for n in transform_lengths)
+            assert all(n == refined or n <= p ** (N + M0) for n in transform_lengths)
             return transform_lengths.count(refined)
 
         # phi, phi(x/p) and every V_0 product are read on phi's own grid. Per
-        # mask: its grid and its wavelet's inverse transform.
-        assert transforms(lambda: wavelet_functions(phi, masks)) <= 2 * r
+        # mask: its grid and its wavelet's inverse transform. wavelet_functions
+        # runs on the declared frame.
+        transform_lengths.clear()
+        wavelet_functions(phi, masks)
+        assert all(n <= p ** (N + M + 1) for n in transform_lengths)
+        assert transform_lengths.count(p ** (N + M + 1)) <= 2 * r
         # the build transforms only psi_1: B's coefficients, n_1's grid and
         # psi_1, whatever r; on phi's grid, phi and psi_1's one correlation
         assert transforms(lambda: build_wavelet_set(phi, m0)) <= 3
         assert len(transform_lengths) - transform_lengths.count(refined) <= 2
         # the build cached each mask's grid, so only the wavelets are transformed;
-        # the inclusion test transforms its d misfit directions, none for a valid set
+        # the inclusion test transforms its d misfit directions, none for a valid set.
+        # The refinement cached m_0's grid on the depths up to N+M0+1 it read,
+        # so the nudged phi's verification also evaluates m_0 on the refined grid.
         reports = []
-        assert transforms(lambda: reports.append(frame_bounds(ws))) == r
+        assert transforms(lambda: reports.append(frame_bounds(ws))) == r + (M0 == M)
         assert reports[0].inclusion_count.deficiency == 0
         assert transforms(lambda: check_mra(phi)) == 0
         assert len(transform_lengths) <= 3
@@ -513,6 +531,62 @@ def _nonzero_extremes(gram: np.ndarray) -> tuple[float, float]:
     lam = np.linalg.eigvalsh(gram)
     lam = lam[lam > 1e-9 * lam[-1]]
     return float(lam[0]), float(lam[-1])
+
+
+def _verdicts(phi: TestFunction, m0: TrigPolynomial) -> dict:
+    """check_mra's verdicts and L, the build's outcome, and frame_bounds' verdicts, count and bounds."""
+    report = check_mra(phi)
+    ortho = report.orthonormality
+    out = {
+        "frame": (report.support_exp, report.period_exp, report.lset.period_exp),
+        "verdicts": (
+            report.refinable, report.criterion_ok, report.axiom_a_route, report.axiom_a_ok,
+            report.set_rule_ok, report.haar_equivalent, report.fit_rows, ortho.char_sums_ok,
+            ortho.hat_supported_in_unit_ball, ortho.unit_modulus_ok, ortho.gram_ok, ortho.norm_ok, ortho.verdict,
+        ),
+        "L": report.lset.members,
+    }
+    try:
+        ws = build_wavelet_set(phi, m0)
+    except (UnsupportedConfigurationError, VerificationError) as exc:
+        out["build"] = type(exc).__name__
+        return out
+    out["build"] = [psi.frame for psi in ws.wavelets]
+    fr = frame_bounds(ws)
+    out["frame_ok"] = (fr.ok, vars(fr.inclusion_count))
+    out["bounds"] = (fr.A, fr.B)
+    return out
+
+
+class TestReframing:
+    @given(
+        st.sampled_from(["covering", "unimodular", "haar"]),
+        st.sampled_from([2, 3, 5]),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_verdicts_match_the_declared_frame(self, declared_frame, family, p, N, k, seed):
+        # phi on its coarsest exact frame (N, M0), declared on (N, M0 + k)
+        rng = np.random.default_rng(seed)
+        if family == "haar":
+            m0 = haar_mask(p)
+        elif family == "unimodular":
+            m0 = random_unimodular_mask(rng, p, N)
+        else:
+            m0 = random_covering_mask(rng, p, N, 1)
+        M0 = test_functions._coarsest_period(refinable_from_mask(m0, 1))
+        phi = reframe(refinable_from_mask(m0, M0), m0.scale, M0 + k)
+        assert mra._coarsest_period(phi) == M0
+        got = _verdicts(phi, m0)
+        with declared_frame():
+            assert mra._coarsest_period(phi) == wavelets._coarsest_period(phi) == M0 + k
+            want = _verdicts(phi, m0)
+        assert got.pop("frame") == want.pop("frame") == (phi.support_exp, M0 + k, M0 + k)
+        if "bounds" in want:
+            assert got.pop("bounds") == pytest.approx(want.pop("bounds"), rel=1e-10)
+        assert got == want
 
 
 class TestRefinement:
