@@ -278,31 +278,37 @@ def refinable_from_mask(
 ) -> TestFunction:
     """Solve the refinement equation for phi in D_N^M, or refuse.
 
-    At the first sphere p^s, s <= M, whose unit values are all at or below
-    _SUPPORT_FLOOR times the depth product's peak (_support_bins' rounding),
-    phi is solved on (N, s-1) and tiled to (N, M), an exact reframe. Else
-    SupportViolationError (with the extremal sphere point) is raised when
-    the product does not vanish on the sphere p^(M+1): no solution with the
-    requested Fourier support exists. The refined frame (N, M+1) that
-    check_mra builds from the result must fit the grid cap.
+    At the first sphere p^s, s <= M, whose units are at most tol and
+    _SUPPORT_FLOOR times the depth product's peak, phi is solved on (N, s-1)
+    and tiled to (N, M). Covering the units first at depth s+N takes
+    (p-1)(s+N) of m's < p^(N+1) zeros, so no depth past (p^(N+1)-1)/(p-1) is
+    probed. Else SupportViolationError (with the extremal sphere point) is
+    raised when the product does not vanish on the sphere p^(M+1). The
+    refined frame (N, M+1) that check_mra builds must fit the grid cap.
     """
     N = _require_scaling_mask(m, tol)
     M = period_exp
     if M + N < 0:
         raise PreconditionError(f"frame ({N}, {M}) has N + M < 0")
     check_limits(m.prime, N + M + 1, tol)
+    p = m.prime
+    covered = (p ** (N + 1) - 1) // (p - 1)
+    # one mask grid, strided for the shallower depths; N+M+1 too past the probes
+    m.values_on_depth_grid(min(N + M + 1, covered))
     hat = np.ones(1, dtype=np.complex128)
     for t in range(1, N + M + 2):
+        if t == covered + 1:
+            m.values_on_depth_grid(N + M + 1)
         # depth t holds the sphere p^(t-N): the entries of deeper off p Z
         deeper = _deepen(m, hat, t)
         if t - N > M:
             break
-        if t - N >= 1:
+        if N < t <= covered:
             mags = np.abs(deeper)
-            if mags.reshape(-1, m.prime)[:, 1:].max() <= _SUPPORT_FLOOR * mags.max():
-                return reframe(inv_fourier(TestFunction(m.prime, t - N - 1, N, hat)), N, M)
+            if mags.reshape(-1, p)[:, 1:].max() <= min(tol, _SUPPORT_FLOOR * mags.max()):
+                return reframe(inv_fourier(TestFunction(p, t - N - 1, N, hat)), N, M)
         hat = deeper
     ok, witness, worst = _margin(m, M + 1, *_units(m, deeper), tol)
     if not ok:
         raise SupportViolationError(witness, worst)
-    return inv_fourier(TestFunction(m.prime, M, N, hat))
+    return inv_fourier(TestFunction(p, M, N, hat))

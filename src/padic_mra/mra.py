@@ -67,6 +67,7 @@ from ._translates import (
 from .padic_core import PadicRational
 from .test_functions import (
     TestFunction,
+    _coarse,
     _coarsest_period,
     _fourier_values,
     _inv_fourier_values,
@@ -98,13 +99,6 @@ def _require_frame(f: TestFunction) -> tuple[int, int]:
             f"frame ({N}, {M}) must have N, M >= 0; re-frame first"
         )
     return N, M
-
-
-def _coarse(f: TestFunction, M: int) -> TestFunction:
-    """f on the frame (N, M), M at least _coarsest_period(f): its first p^(N+M) values."""
-    if M == f.period_exp:
-        return f
-    return TestFunction(f.prime, f.support_exp, M, f.values[: f.prime ** (f.support_exp + M)])
 
 
 def _lifted(f: TestFunction) -> tuple[TestFunction, int]:
@@ -450,9 +444,8 @@ def check_mra(phi: TestFunction, tol: float = DEFAULT_TOL) -> MraReport:
     Rejects candidates with zero mean: the criterion is not defined there.
     The prime, tol and the refined grid p^(N+M+1) pass config.check_limits.
 
-    Like l_set and check_orthonormal_shifts, it runs on phi's coarsest exact
-    frame (N, M'), as no verdict depends on the frame; L is reframed to
-    (N, M), member l becoming l p^(M - M').
+    Like l_set, it runs on phi's coarsest exact frame (N, M'); L is
+    reframed to (N, M), member l becoming l p^(M - M').
 
     Density and trivial intersection hold for every nonzero-mean phi with
     compact Fourier support (every sphere |xi| = p^s dilates into B_{-N},

@@ -10,7 +10,8 @@ to any larger frame changes the storage, never a pointwise value. All frame
 bookkeeping below reduces to exact integer index arithmetic; the derivations
 rely only on x -> x * p^N being a bijection of the grid onto Z mod p^(N+M).
 A larger M tiles the values, so _coarsest_period reads the smallest frame
-a function exactly has off them; mra and wavelets check there.
+a function exactly has off them and _coarse keeps the values of a frame
+at least that small; mra and wavelets check there.
 
 The transform here is the additive-character integral with Haar measure
 normalized so that Z_p has measure 1. It maps D_N^M onto D_M^N and is
@@ -160,6 +161,13 @@ def _coarsest_period(f: TestFunction) -> int:
             break
         M -= 1
     return M
+
+
+def _coarse(f: TestFunction, M: int) -> TestFunction:
+    """f on the frame (N, M), M at least _coarsest_period(f): its first p^(N+M) values."""
+    if M == f.period_exp:
+        return f
+    return TestFunction(f.prime, f.support_exp, M, f.values[: f.prime ** (f.support_exp + M)])
 
 
 def common_frame(f: TestFunction, g: TestFunction) -> tuple[TestFunction, TestFunction]:

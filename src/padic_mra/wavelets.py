@@ -96,9 +96,10 @@ from ._translates import (
     _translates,
 )
 from .masks import TrigPolynomial, haar_mask
-from .mra import LSet, _coarse, _l_set
+from .mra import LSet, _l_set
 from .test_functions import (
     TestFunction,
+    _coarse,
     _coarsest_period,
     _fourier_values,
     _inv_fourier_values,

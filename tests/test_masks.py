@@ -115,10 +115,27 @@ class TestTrigPolynomial:
         # (7, 1, 1) live on their whole declared ball and are no reframe
         M0 = {(2, 2, 4): 0, (5, 0, 3): 0}.get((p, N, M), M)
         assert _coarsest_period(phi) == M0
-        # one mask grid per depth up to N+M0+1, where sphere M0+1 vanishes or
-        # (M0 = M) is decided, and phi from its transform on its coarsest grid
-        depths = [p**t for t in range(1, N + M0 + 2)]
-        assert sorted(transform_lengths) == sorted(depths + [p ** (N + M0)])
+        # one mask grid, at depth N+M+1 or, if shallower, the deepest probe
+        # (p^(N+1)-1)/(p-1), strided for every other depth, and phi from its
+        # transform on its coarsest grid: for M0 = M as without the probes
+        mask_depth = {(5, 0, 3): 1}.get((p, N, M), N + M + 1)
+        assert sorted(transform_lengths) == sorted([p**mask_depth, p ** (N + M0)])
+
+    def test_a_refusal_past_the_probes_adds_the_decided_grid(self, transform_lengths):
+        # m(1/2) = 0.4: no sphere vanishes; p = 2, N = 0 probes sphere 1 only
+        m = TrigPolynomial(2, np.array([0.7, 0.3]), scale=0)
+        transform_lengths.clear()
+        with pytest.raises(SupportViolationError):
+            refinable_from_mask(m, 5)
+        assert sorted(transform_lengths) == [2, 2**6]
+
+    def test_an_early_stop_keeps_to_tol(self):
+        # Haar plus 1e-11 (z - 1): m(1/2) = -2e-11, below the support floor
+        # but above tol = 1e-12, which decides on sphere M+1 as before
+        m = TrigPolynomial(2, np.array([0.5 - 1e-11, 0.5 + 1e-11]), scale=0)
+        with pytest.raises(SupportViolationError):
+            refinable_from_mask(m, 2, tol=1e-12)
+        assert _coarsest_period(refinable_from_mask(m, 2)) == 0
 
 
 class TestMaskFromRoots:

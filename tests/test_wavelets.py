@@ -433,11 +433,9 @@ class TestSharedSpectra:
         assert transforms(lambda: build_wavelet_set(phi, m0)) <= 3
         assert len(transform_lengths) - transform_lengths.count(refined) <= 2
         # the build cached each mask's grid, so only the wavelets are transformed;
-        # the inclusion test transforms its d misfit directions, none for a valid set.
-        # The refinement cached m_0's grid on the depths up to N+M0+1 it read,
-        # so the nudged phi's verification also evaluates m_0 on the refined grid.
+        # the inclusion test transforms its d misfit directions, none for a valid set
         reports = []
-        assert transforms(lambda: reports.append(frame_bounds(ws))) == r + (M0 == M)
+        assert transforms(lambda: reports.append(frame_bounds(ws))) == r
         assert reports[0].inclusion_count.deficiency == 0
         assert transforms(lambda: check_mra(phi)) == 0
         assert len(transform_lengths) <= 3
